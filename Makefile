@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-short bench-compare serve fleet-demo fleet-smoke
+.PHONY: build test vet fuzz-smoke bench bench-short bench-compare serve fleet-demo fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -11,12 +11,21 @@ vet:
 # The default test path runs vet first, mirroring the tier-1 gate, then
 # race-checks the packages whose workers share the lane-batch buffers and
 # queues (service fleet incl. remote proxies + dynamic membership, the
-# fault injector, simulated GPU engine, cpuref pools, the shared hypertree
-# memo cache, and the cross-signature batched verification primitives in
+# wire codec's pooled request buffers, the fault injector, simulated GPU
+# engine, cpuref pools, the shared hypertree memo cache, and the
+# cross-signature batched verification primitives in
 # wots/fors/xmss/hypertree).
 test: vet
 	$(GO) test ./...
-	$(GO) test -race ./service/... ./internal/faultinject/ ./internal/gpu/... ./internal/cpuref/... ./internal/spx/treecache/... ./internal/spx/ ./internal/spx/wots/ ./internal/spx/fors/ ./internal/spx/xmss/ ./internal/spx/hypertree/
+	$(GO) test -race ./service/... ./internal/wire/ ./internal/faultinject/ ./internal/gpu/... ./internal/cpuref/... ./internal/spx/treecache/... ./internal/spx/ ./internal/spx/wots/ ./internal/spx/fors/ ./internal/spx/xmss/ ./internal/spx/hypertree/
+
+# fuzz-smoke runs every native fuzz target of the wire codec (the decoder of
+# each hot /v1/* body against encoding/json, and the encoders) for FUZZTIME.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@for f in $$($(GO) test ./internal/wire -list '^Fuzz' | grep '^Fuzz'); do \
+		$(GO) test ./internal/wire -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # bench regenerates the paper evaluation as machine-readable JSON so the
 # perf trajectory can be tracked across PRs (BENCH_*.json).

@@ -70,7 +70,9 @@ type Backend interface {
 	Warm(key *PrivateKey) error
 	// RunBatch executes one flushed batch. The context is canceled when the
 	// service aborts a drain; backends should honor it between units of
-	// work where practical.
+	// work where practical. The job's byte slices may alias a request's
+	// pooled buffers, which are recycled once the batch's futures resolve:
+	// nothing started here may read them after RunBatch returns.
 	RunBatch(ctx context.Context, key *PrivateKey, job *Job) (*BatchOutput, error)
 }
 

@@ -9,12 +9,13 @@ import (
 	"time"
 
 	"herosign/internal/core"
+	"herosign/internal/wire"
 )
 
 // MaxBodyBytes caps request bodies on the HTTP front end; larger bodies get
 // 413. Generous for any sane sign/verify payload (a 256f signature is
 // ~50 KB base64) while bounding memory per connection.
-const MaxBodyBytes = 1 << 20
+const MaxBodyBytes = wire.MaxBodyBytes
 
 // Scheduling headers. X-Request-Deadline carries the client's completion
 // deadline as relative milliseconds (clock-skew safe across hosts) and
@@ -25,72 +26,19 @@ const (
 	TenantHeader   = "X-API-Key"
 )
 
-// JSON wire types. []byte fields travel as standard base64 strings.
-type signRequest struct {
-	Message []byte `json:"message"`
-	KeyID   string `json:"key_id,omitempty"` // "" routes to the least-loaded shard
-	// DeadlineMs is the client deadline in relative milliseconds (0 = none);
-	// the X-Request-Deadline header overrides it.
-	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-}
-
-type signResponse struct {
-	Signature []byte `json:"signature"`
-	KeyID     string `json:"key_id"` // key domain that signed; verify against its key
-	Shard     int    `json:"shard"`
-	Batch     int    `json:"batch"`  // coalesced batch size the request rode in
-	Device    string `json:"device"` // backend that executed it
-}
-
-type signBatchRequest struct {
-	Messages [][]byte `json:"messages"`
-	KeyID    string   `json:"key_id,omitempty"`
-	// DeadlineMs applies one relative deadline to every member (header
-	// overrides); DeadlinesMs, when present, is parallel to Messages with a
-	// per-member relative deadline (0 falls back to the scalar). Tenants,
-	// parallel likewise, names each member's tenant ("" falls back to
-	// X-API-Key) — the fields a proxying front end forwards so a leaf sees
-	// the same urgency and accounting it did.
-	DeadlineMs  int64    `json:"deadline_ms,omitempty"`
-	DeadlinesMs []int64  `json:"deadlines_ms,omitempty"`
-	Tenants     []string `json:"tenants,omitempty"`
-}
-
-type signBatchResponse struct {
-	KeyID      string   `json:"key_id"`
-	Signatures [][]byte `json:"signatures"`
-}
-
-type verifyRequest struct {
-	Message   []byte `json:"message"`
-	Signature []byte `json:"signature"`
-	KeyID     string `json:"key_id,omitempty"` // "" checks every shard's key
-	// DeadlineMs is the client deadline in relative milliseconds (0 = none);
-	// the X-Request-Deadline header overrides it.
-	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-}
-
-type verifyResponse struct {
-	Valid  bool   `json:"valid"`
-	KeyID  string `json:"key_id"`
-	Batch  int    `json:"batch"`
-	Device string `json:"device"`
-}
-
-type verifyBatchRequest struct {
-	Messages   [][]byte `json:"messages"`
-	Signatures [][]byte `json:"signatures"` // parallel to Messages
-	KeyID      string   `json:"key_id,omitempty"`
-	// Scheduling fields with signBatchRequest semantics.
-	DeadlineMs  int64    `json:"deadline_ms,omitempty"`
-	DeadlinesMs []int64  `json:"deadlines_ms,omitempty"`
-	Tenants     []string `json:"tenants,omitempty"`
-}
-
-type verifyBatchResponse struct {
-	KeyID string `json:"key_id"`
-	Valid []bool `json:"valid"` // parallel to the request pairs
-}
+// JSON wire types. []byte fields travel as standard base64 strings. The
+// four hot shapes and their responses are defined, with their field names,
+// in internal/wire, which also decodes and encodes them.
+type (
+	signRequest         = wire.SignRequest
+	signResponse        = wire.SignResponse
+	signBatchRequest    = wire.SignBatchRequest
+	signBatchResponse   = wire.SignBatchResponse
+	verifyRequest       = wire.VerifyRequest
+	verifyResponse      = wire.VerifyResponse
+	verifyBatchRequest  = wire.VerifyBatchRequest
+	verifyBatchResponse = wire.VerifyBatchResponse
+)
 
 // seedTriple is the wire form of core.SeedTriple for deterministic remote
 // key generation; each component is Params.N bytes.
@@ -151,7 +99,10 @@ type errorResponse struct {
 // Each request is submitted through the coalescer, so concurrent HTTP
 // clients are batched together onto the fleet. Overload rejections return
 // 429 with a Retry-After header; request bodies are capped at MaxBodyBytes
-// (413 beyond).
+// (413 beyond). The four sign/verify endpoints read and write their JSON
+// through internal/wire — pooled buffers, base64 decoded in place, anything
+// unusual handed to encoding/json — and the two batch endpoints submit
+// without copying; keygen, keys and stats use encoding/json directly.
 //
 // Every submitting endpoint additionally honors two scheduling inputs: the
 // X-Request-Deadline header (relative milliseconds, overriding the body's
@@ -289,25 +240,45 @@ func batchSubmitOpts(w http.ResponseWriter, base SubmitOpts, n int, deadlinesMs 
 	return opts, true
 }
 
-// decodeJSON decodes the request body, distinguishing oversized bodies
-// (413) from malformed ones (400). It reports whether decoding succeeded.
+// decodeJSON decodes the request body of an endpoint outside the hot path
+// with encoding/json. It reports whether decoding succeeded.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("body exceeds the %d-byte cap", tooLarge.Limit)})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+		writeDecodeError(w, err)
 		return false
 	}
 	return true
 }
 
+// writeDecodeError answers a body that did not decode, distinguishing
+// oversized bodies (413) from malformed ones (400).
+func writeDecodeError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorResponse{Error: fmt.Sprintf("body exceeds the %d-byte cap", tooLarge.Limit)})
+		return
+	}
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+}
+
+// writeWire writes one encoded 200 response in a single Write with its
+// Content-Length and returns the buffer to its pool.
+func writeWire(w http.ResponseWriter, b *wire.Buf) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b.B)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b.B)
+	b.Release()
+}
+
 func (s *Service) handleSign(w http.ResponseWriter, r *http.Request) {
-	var req signRequest
-	if !decodeJSON(w, r, &req) {
+	in := wire.ReadInput(r.Body, r.ContentLength)
+	defer in.Release() // SubmitSignOpts copies the message
+	req, err := in.DecodeSign()
+	if err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	opts, ok := submitOptsFrom(w, r, req.DeadlineMs)
@@ -324,9 +295,9 @@ func (s *Service) handleSign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, signResponse{
+	writeWire(w, wire.EncodeSignResponse(&signResponse{
 		Signature: res.Sig, KeyID: res.KeyID, Shard: res.Shard, Batch: res.Batch, Device: res.Dev,
-	})
+	}))
 }
 
 // handleSignBatch signs a set of messages under one key domain in a single
@@ -336,8 +307,21 @@ func (s *Service) handleSign(w http.ResponseWriter, r *http.Request) {
 // drop-oldest-deadline shedding. A batch that cannot fit the admission
 // caps at all is a 400 (split it), not a retryable 429.
 func (s *Service) handleSignBatch(w http.ResponseWriter, r *http.Request) {
-	var req signBatchRequest
-	if !decodeJSON(w, r, &req) {
+	in := wire.ReadInput(r.Body, r.ContentLength)
+	// The members are submitted without a copy, so from submission until
+	// every future has resolved the queued requests alias in's buffers. A
+	// return in between — a member failed, the client went away — leaves
+	// batch-mates queued or executing: the buffers are then dropped to the
+	// GC, never recycled under them.
+	recycle := true
+	defer func() {
+		if recycle {
+			in.Release()
+		}
+	}()
+	req, err := in.DecodeSignBatch()
+	if err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if len(req.Messages) == 0 {
@@ -370,7 +354,8 @@ func (s *Service) handleSignBatch(w http.ResponseWriter, r *http.Request) {
 		// Pin the whole batch to one shard so every signature shares a key.
 		keyID = s.router.route().keyID
 	}
-	futs, err := s.SubmitSignBatchOpts(keyID, req.Messages, opts)
+	recycle = false
+	futs, err := s.submitSignBatch(keyID, req.Messages, opts, true)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -384,12 +369,16 @@ func (s *Service) handleSignBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Signatures = append(resp.Signatures, res.Sig)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	recycle = true
+	writeWire(w, wire.EncodeSignBatchResponse(&resp))
 }
 
 func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var req verifyRequest
-	if !decodeJSON(w, r, &req) {
+	in := wire.ReadInput(r.Body, r.ContentLength)
+	defer in.Release() // SubmitVerifyKeyOpts copies the pair
+	req, err := in.DecodeVerify()
+	if err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	opts, ok := submitOptsFrom(w, r, req.DeadlineMs)
@@ -406,9 +395,9 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, verifyResponse{
+	writeWire(w, wire.EncodeVerifyResponse(&verifyResponse{
 		Valid: res.Valid, KeyID: res.KeyID, Batch: res.Batch, Device: res.Dev,
-	})
+	}))
 }
 
 // handleVerifyBatch checks a set of (message, signature) pairs against one
@@ -422,8 +411,16 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 // batch fall back to per-pair any-shard submission, where partial admission
 // is inherent.
 func (s *Service) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
-	var req verifyBatchRequest
-	if !decodeJSON(w, r, &req) {
+	in := wire.ReadInput(r.Body, r.ContentLength)
+	recycle := true // false while queued pairs alias in's buffers; see handleSignBatch
+	defer func() {
+		if recycle {
+			in.Release()
+		}
+	}()
+	req, err := in.DecodeVerifyBatch()
+	if err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if len(req.Messages) == 0 {
@@ -453,15 +450,15 @@ func (s *Service) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var futs []*Future
 	if keyID != "" {
-		var err error
-		futs, err = s.SubmitVerifyBatchKeyOpts(keyID, req.Messages, req.Signatures, opts)
+		recycle = false
+		futs, err = s.submitVerifyBatch(keyID, req.Messages, req.Signatures, opts, true)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
 	} else {
 		// No key domain on a multi-shard service: each pair must consult
-		// every shard, so pairs submit independently.
+		// every shard, so pairs submit independently (and are copied).
 		futs = make([]*Future, 0, len(req.Messages))
 		for i := range req.Messages {
 			memberOpts := base
@@ -489,7 +486,8 @@ func (s *Service) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	recycle = true
+	writeWire(w, wire.EncodeVerifyBatchResponse(&resp))
 }
 
 func (s *Service) handleKeyGen(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"herosign/internal/spx"
+	"herosign/internal/wire"
 	"herosign/service"
 )
 
@@ -140,12 +141,25 @@ func (b *Backend) RunBatch(ctx context.Context, key *service.PrivateKey, job *se
 	if keyID == "" {
 		return nil, fmt.Errorf("remote: backend %s used before Warm", b.Name())
 	}
-	sched := schedMeta{deadlinesMs: job.DeadlinesMs, tenants: job.Tenants}
+	// A sign or verify batch is encoded here, once, before any attempt
+	// starts: the job's buffers are only good until RunBatch returns, and a
+	// hedge or failover attempt that lost the race may still be sending. The
+	// encoded bodies are reference-counted and shared by every attempt; they
+	// forward the per-message scheduling metadata (remaining deadline in ms
+	// as snapshotted at dispatch, tenant API key), so the leaf's EDF ordering
+	// and per-tenant accounting see what the front end admitted the work
+	// under, and each stays within the leaf's body cap.
 	switch job.Kind {
 	case service.KindSign:
-		return b.f.runSign(ctx, b.leaf, job.Msgs, sched)
+		bodies := wire.EncodeSignBatch(&wire.SignBatchRequest{Messages: job.Msgs, KeyID: keyID,
+			DeadlinesMs: job.DeadlinesMs, Tenants: job.Tenants}, service.MaxBodyBytes)
+		defer bodies.Release()
+		return b.f.runSign(ctx, b.leaf, bodies, len(job.Msgs), key.Params.SigBytes)
 	case service.KindVerify:
-		return b.f.runVerify(ctx, b.leaf, job.Msgs, job.Sigs, sched)
+		bodies := wire.EncodeVerifyBatch(&wire.VerifyBatchRequest{Messages: job.Msgs, Signatures: job.Sigs, KeyID: keyID,
+			DeadlinesMs: job.DeadlinesMs, Tenants: job.Tenants}, service.MaxBodyBytes)
+		defer bodies.Release()
+		return b.f.runVerify(ctx, b.leaf, bodies, len(job.Msgs))
 	case service.KindKeyGen:
 		return b.f.runKeyGen(ctx, b.leaf, key.Params, job.Seeds)
 	}
@@ -229,7 +243,7 @@ type attemptResult struct {
 // successful attempt resolves the batch; losing attempts are canceled
 // (the leaf may still complete the work — that redundancy is the price of
 // the tail cut, which is why the hedge budget is capped).
-func (f *Fleet) runSign(ctx context.Context, primary *leaf, msgs [][]byte, sched schedMeta) (*service.BatchOutput, error) {
+func (f *Fleet) runSign(ctx context.Context, primary *leaf, bodies wire.Bodies, n, sigBytes int) (*service.BatchOutput, error) {
 	runCtx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
@@ -247,11 +261,13 @@ func (f *Fleet) runSign(ctx context.Context, primary *leaf, msgs [][]byte, sched
 		attempted[l] = true
 		pending++
 		l.inflight.Add(1)
+		bodies.Retain() // before the goroutine: it may start after runSign has returned
 		go func() {
+			defer bodies.Release()
 			actx, cancel := context.WithTimeout(runCtx, f.opts.RequestTimeout)
 			defer cancel()
 			t0 := time.Now()
-			sigs, err := f.tr.signBatch(actx, l.url, keyID(l), msgs, sched)
+			sigs, err := f.tr.signBatch(actx, l.url, bodies, n, sigBytes)
 			dur := time.Since(t0)
 			l.inflight.Add(-1)
 			canceled := runCtx.Err() != nil && err != nil
@@ -261,7 +277,7 @@ func (f *Fleet) runSign(ctx context.Context, primary *leaf, msgs [][]byte, sched
 				// nothing about the leaf's health.
 			case err == nil:
 				f.tracker.add(dur)
-				l.observeSuccess(f.opts, dur, len(msgs))
+				l.observeSuccess(f.opts, dur, n)
 			case errors.Is(err, service.ErrOverloaded):
 				l.observeOverload()
 			case hardFailure(err):
@@ -407,15 +423,12 @@ func (f *Fleet) runFailover(ctx context.Context, primary *leaf,
 	return lastErr
 }
 
-func (f *Fleet) runVerify(ctx context.Context, primary *leaf, msgs, sigs [][]byte, sched schedMeta) (*service.BatchOutput, error) {
+func (f *Fleet) runVerify(ctx context.Context, primary *leaf, bodies wire.Bodies, n int) (*service.BatchOutput, error) {
 	primary.primarySends.Add(1)
 	var out *service.BatchOutput
 	err := f.runFailover(ctx, primary, func(actx context.Context, l *leaf) error {
-		l.mu.Lock()
-		kid := l.keyID
-		l.mu.Unlock()
 		t0 := time.Now()
-		ok, err := f.tr.verifyBatch(actx, l.url, kid, msgs, sigs, sched)
+		ok, err := f.tr.verifyBatch(actx, l.url, bodies, n)
 		if err != nil {
 			return err
 		}

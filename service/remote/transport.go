@@ -1,8 +1,8 @@
 package remote
 
 import (
-	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,51 +11,13 @@ import (
 	"net/http"
 	"time"
 
+	"herosign/internal/wire"
 	"herosign/service"
 )
 
-// Wire mirrors of the leaf's JSON types. The JSON field names are the
-// contract (service keeps its own structs unexported); []byte travels as
-// base64 per encoding/json.
-type signBatchReq struct {
-	Messages [][]byte `json:"messages"`
-	KeyID    string   `json:"key_id,omitempty"`
-	// DeadlinesMs / Tenants forward the front end's per-message scheduling
-	// metadata (remaining deadline in ms, tenant API key) so the leaf's EDF
-	// ordering and per-tenant accounting see the same attributes the front
-	// end admitted the work under.
-	DeadlinesMs []int64  `json:"deadlines_ms,omitempty"`
-	Tenants     []string `json:"tenants,omitempty"`
-}
-
-// schedMeta carries a proxied batch's per-message scheduling metadata
-// (from service.Job) to the wire encoders. Hedge and failover resends reuse
-// the same snapshot: the remaining-deadline values were taken at dispatch,
-// which slightly overstates the remaining time on a late resend — the leaf
-// still drops truly expired work itself.
-type schedMeta struct {
-	deadlinesMs []int64
-	tenants     []string
-}
-
-type signBatchResp struct {
-	KeyID      string   `json:"key_id"`
-	Signatures [][]byte `json:"signatures"`
-}
-
-type verifyBatchReq struct {
-	Messages   [][]byte `json:"messages"`
-	Signatures [][]byte `json:"signatures"`
-	KeyID      string   `json:"key_id,omitempty"`
-	// Scheduling forwarding with signBatchReq semantics.
-	DeadlinesMs []int64  `json:"deadlines_ms,omitempty"`
-	Tenants     []string `json:"tenants,omitempty"`
-}
-
-type verifyBatchResp struct {
-	Valid []bool `json:"valid"`
-}
-
+// Wire mirrors of the leaf's JSON types for the control-plane shapes (the
+// sign/verify batch shapes live in internal/wire). The JSON field names are
+// the contract; []byte travels as base64 per encoding/json.
 type seedTripleWire struct {
 	SKSeed []byte `json:"sk_seed"`
 	SKPRF  []byte `json:"sk_prf"`
@@ -185,95 +147,120 @@ func (t *transport) do(req *http.Request) (*http.Response, error) {
 
 func (t *transport) close() { t.inner.CloseIdleConnections() }
 
-// postJSON round-trips one JSON request. A leaf 429 comes back as
-// *service.OverloadError carrying the leaf's own retry_after_ms estimate,
-// so the front end surfaces the leaf's drain time instead of recomputing
-// one from its own (empty) queue.
-func (t *transport) postJSON(ctx context.Context, base, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("remote: encode %s: %w", path, err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("remote: build %s: %w", path, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := t.do(req)
-	if err != nil {
-		return &TransportError{URL: base, Err: err}
-	}
-	return decodeResp(base, resp, out)
-}
+// respLimit bounds an answer whose size no request implies (stats, key
+// catalogs, keygen, error bodies); batch answers are bounded by their batch.
+const respLimit = 8 << 20
 
-func (t *transport) getJSON(ctx context.Context, base, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+// respSlack is a batch answer's allowance for what is not a member: braces,
+// keys and the key ID.
+const respSlack = 1024
+
+// roundTrip sends one request — body is nil for a GET — and returns the 200
+// answer, at most limit bytes of it, in a pooled buffer the caller releases.
+// A leaf 429 comes back as *service.OverloadError carrying the leaf's own
+// retry_after_ms estimate, so the front end surfaces the leaf's drain time
+// instead of recomputing one from its own (empty) queue.
+func (t *transport) roundTrip(ctx context.Context, method, base, path string, body *wire.Buf, limit int64) (*wire.Buf, error) {
+	req, err := http.NewRequestWithContext(ctx, method, base+path, nil)
 	if err != nil {
-		return fmt.Errorf("remote: build %s: %w", path, err)
+		return nil, fmt.Errorf("remote: build %s: %w", path, err)
+	}
+	if body != nil {
+		req.Body, req.ContentLength = body.Body(), int64(len(body.B))
+		req.GetBody = func() (io.ReadCloser, error) { return body.Body(), nil }
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := t.do(req)
 	if err != nil {
-		return &TransportError{URL: base, Err: err}
+		return nil, &TransportError{URL: base, Err: err}
 	}
-	return decodeResp(base, resp, out)
-}
-
-func decodeResp(base string, resp *http.Response, out any) error {
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	raw, err := wire.ReadBody(io.LimitReader(resp.Body, limit), resp.ContentLength, limit)
 	if err != nil {
-		return &TransportError{URL: base, Err: err}
+		err = &TransportError{URL: base, Err: err}
+	} else if err = statusError(base, resp.StatusCode, raw.B); err == nil {
+		return raw, nil
 	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		var er errResp
+	raw.Release()
+	return nil, err
+}
+
+// statusError maps a leaf's non-200 answer to the error the fleet acts on.
+func statusError(base string, status int, raw []byte) error {
+	var er errResp
+	switch status {
+	case http.StatusOK:
+		return nil
+	case http.StatusTooManyRequests:
 		retry := 50 * time.Millisecond
 		if json.Unmarshal(raw, &er) == nil && er.RetryAfterMs > 0 {
 			retry = time.Duration(er.RetryAfterMs) * time.Millisecond
 		}
 		return &service.OverloadError{Scope: "leaf", RetryAfter: retry}
 	}
-	if resp.StatusCode != http.StatusOK {
-		var er errResp
-		msg := http.StatusText(resp.StatusCode)
-		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-			msg = er.Error
+	msg := http.StatusText(status)
+	if json.Unmarshal(raw, &er) == nil && er.Error != "" {
+		msg = er.Error
+	}
+	return &StatusError{URL: base, Status: status, Msg: msg}
+}
+
+// doJSON round-trips one control-plane request through encoding/json; in
+// is nil for a GET.
+func (t *transport) doJSON(ctx context.Context, base, path string, in, out any) error {
+	method, body := http.MethodGet, (*wire.Buf)(nil)
+	if in != nil {
+		enc, err := json.Marshal(in)
+		if err != nil {
+			return fmt.Errorf("remote: encode %s: %w", path, err)
 		}
-		return &StatusError{URL: base, Status: resp.StatusCode, Msg: msg}
+		method, body = http.MethodPost, wire.NewBuf(len(enc))
+		body.B = append(body.B, enc...)
+		defer body.Release()
 	}
-	if out == nil {
-		return nil
+	raw, err := t.roundTrip(ctx, method, base, path, body, respLimit)
+	if err != nil {
+		return err
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	defer raw.Release()
+	if err := json.Unmarshal(raw.B, out); err != nil {
 		return &TransportError{URL: base, Err: fmt.Errorf("decode response: %w", err)}
 	}
 	return nil
 }
 
-func (t *transport) signBatch(ctx context.Context, base, keyID string, msgs [][]byte, sched schedMeta) ([][]byte, error) {
-	var out signBatchResp
-	req := signBatchReq{Messages: msgs, KeyID: keyID, DeadlinesMs: sched.deadlinesMs, Tenants: sched.tenants}
-	if err := t.postJSON(ctx, base, "/v1/sign/batch", req, &out); err != nil {
-		return nil, err
+// postBatch sends one proxied batch of n members — already encoded as one
+// or more consecutive bodies, each within the leaf's body cap — and
+// concatenates the per-body answers. perMember bounds one member's share of
+// an answer, so the read limit follows from the request.
+func postBatch[T any](ctx context.Context, t *transport, base, path string, bodies wire.Bodies, n, perMember int,
+	decode func([]T, []byte) ([]T, error)) ([]T, error) {
+	out := make([]T, 0, n)
+	for _, body := range bodies {
+		raw, err := t.roundTrip(ctx, http.MethodPost, base, path, body, int64(n*perMember)+respSlack)
+		if err != nil {
+			return nil, err
+		}
+		out, err = decode(out, raw.B)
+		raw.Release()
+		if err != nil {
+			return nil, &TransportError{URL: base, Err: fmt.Errorf("decode response: %w", err)}
+		}
 	}
-	if len(out.Signatures) != len(msgs) {
+	if len(out) != n {
 		return nil, &StatusError{URL: base, Status: http.StatusOK,
-			Msg: fmt.Sprintf("sign batch returned %d signatures for %d messages", len(out.Signatures), len(msgs))}
+			Msg: fmt.Sprintf("%s returned %d answers for %d members", path, len(out), n)}
 	}
-	return out.Signatures, nil
+	return out, nil
 }
 
-func (t *transport) verifyBatch(ctx context.Context, base, keyID string, msgs, sigs [][]byte, sched schedMeta) ([]bool, error) {
-	var out verifyBatchResp
-	req := verifyBatchReq{Messages: msgs, Signatures: sigs, KeyID: keyID,
-		DeadlinesMs: sched.deadlinesMs, Tenants: sched.tenants}
-	if err := t.postJSON(ctx, base, "/v1/verify/batch", req, &out); err != nil {
-		return nil, err
-	}
-	if len(out.Valid) != len(msgs) {
-		return nil, &StatusError{URL: base, Status: http.StatusOK,
-			Msg: fmt.Sprintf("verify batch returned %d verdicts for %d pairs", len(out.Valid), len(msgs))}
-	}
-	return out.Valid, nil
+func (t *transport) signBatch(ctx context.Context, base string, bodies wire.Bodies, n, sigBytes int) ([][]byte, error) {
+	return postBatch(ctx, t, base, "/v1/sign/batch", bodies, n,
+		base64.StdEncoding.EncodedLen(sigBytes)+3, wire.AppendSignBatchResponse)
+}
+
+func (t *transport) verifyBatch(ctx context.Context, base string, bodies wire.Bodies, n int) ([]bool, error) {
+	return postBatch(ctx, t, base, "/v1/verify/batch", bodies, n, len("false,"), wire.AppendVerifyBatchResponse)
 }
 
 func (t *transport) keygen(ctx context.Context, base string, seeds []service.SeedTriple) ([][]byte, error) {
@@ -282,7 +269,7 @@ func (t *transport) keygen(ctx context.Context, base string, seeds []service.See
 		req.Seeds[i] = seedTripleWire{SKSeed: s.SKSeed, SKPRF: s.SKPRF, PKSeed: s.PKSeed}
 	}
 	var out keygenResp
-	if err := t.postJSON(ctx, base, "/v1/keygen", req, &out); err != nil {
+	if err := t.doJSON(ctx, base, "/v1/keygen", req, &out); err != nil {
 		return nil, err
 	}
 	if len(out.Keys) != len(seeds) {
@@ -298,7 +285,7 @@ func (t *transport) keygen(ctx context.Context, base string, seeds []service.See
 
 func (t *transport) stats(ctx context.Context, base string) (*service.Stats, error) {
 	var st service.Stats
-	if err := t.getJSON(ctx, base, "/v1/stats", &st); err != nil {
+	if err := t.doJSON(ctx, base, "/v1/stats", nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -306,7 +293,7 @@ func (t *transport) stats(ctx context.Context, base string) (*service.Stats, err
 
 func (t *transport) keys(ctx context.Context, base string) (*keysResp, error) {
 	var kr keysResp
-	if err := t.getJSON(ctx, base, "/v1/keys", &kr); err != nil {
+	if err := t.doJSON(ctx, base, "/v1/keys", nil, &kr); err != nil {
 		return nil, err
 	}
 	return &kr, nil

@@ -546,6 +546,15 @@ func (s *Service) SubmitSignBatch(keyID string, msgs [][]byte) ([]*Future, error
 // deadline); a member whose deadline expires in the queue resolves
 // ErrDeadlineExceeded individually before any signing work is spent on it.
 func (s *Service) SubmitSignBatchOpts(keyID string, msgs [][]byte, opts []SubmitOpts) ([]*Future, error) {
+	return s.submitSignBatch(keyID, msgs, opts, false)
+}
+
+// submitSignBatch is SubmitSignBatchOpts; with shared set the queued
+// requests alias msgs instead of copying them, and the caller keeps those
+// buffers untouched until every returned future has resolved (the
+// submitVerifyShared contract, which the HTTP handlers meet by tying their
+// pooled body buffers to the futures).
+func (s *Service) submitSignBatch(keyID string, msgs [][]byte, opts []SubmitOpts, shared bool) ([]*Future, error) {
 	sh, err := s.router.shardFor(keyID)
 	if err != nil {
 		return nil, err
@@ -561,7 +570,10 @@ func (s *Service) SubmitSignBatchOpts(keyID string, msgs [][]byte, opts []Submit
 	b := s.batchers[sh.id].byKind(KindSign)
 	for i, msg := range msgs {
 		r := members[i]
-		r.msg = append([]byte(nil), msg...)
+		r.msg = msg
+		if !shared {
+			r.msg = append([]byte(nil), msg...)
+		}
 		if err := b.submit(r); err != nil {
 			// Closed mid-batch: refund the slots and tenant accounting of the
 			// never-submitted tail; already-submitted futures resolve through
@@ -780,6 +792,12 @@ func (s *Service) SubmitVerifyBatchKey(keyID string, msgs, sigs [][]byte) ([]*Fu
 // all-or-nothing tenant charging and per-member deadline semantics as
 // SubmitSignBatchOpts.
 func (s *Service) SubmitVerifyBatchKeyOpts(keyID string, msgs, sigs [][]byte, opts []SubmitOpts) ([]*Future, error) {
+	return s.submitVerifyBatch(keyID, msgs, sigs, opts, false)
+}
+
+// submitVerifyBatch is SubmitVerifyBatchKeyOpts with submitSignBatch's
+// shared switch.
+func (s *Service) submitVerifyBatch(keyID string, msgs, sigs [][]byte, opts []SubmitOpts, shared bool) ([]*Future, error) {
 	if len(msgs) != len(sigs) {
 		return nil, fmt.Errorf("service: %d messages but %d signatures", len(msgs), len(sigs))
 	}
@@ -798,8 +816,11 @@ func (s *Service) SubmitVerifyBatchKeyOpts(keyID string, msgs, sigs [][]byte, op
 	b := s.batchers[sh.id].byKind(KindVerify)
 	for i := range msgs {
 		r := members[i]
-		r.msg = append([]byte(nil), msgs[i]...)
-		r.sig = append([]byte(nil), sigs[i]...)
+		r.msg, r.sig = msgs[i], sigs[i]
+		if !shared {
+			r.msg = append([]byte(nil), msgs[i]...)
+			r.sig = append([]byte(nil), sigs[i]...)
+		}
 		if err := b.submit(r); err != nil {
 			// Closed mid-batch: refund the slots and tenant accounting of the
 			// never-submitted tail; already-submitted futures resolve through
