@@ -1,15 +1,18 @@
 // Command herosign-bench regenerates the HERO-Sign evaluation: every table
 // and figure of the paper's §IV, modeled on the simulated GPU catalog.
+// Every number it prints comes from the model, so a run is reproducible to
+// the byte; wall-clock measurements of this host live in ./benchmark.
 //
 // Usage:
 //
 //	herosign-bench [-gpu "RTX 4090"] [-batch 1024] [-sample 2] [-exp all|id,id,...]
-//	herosign-bench -json > BENCH_latest.json
+//	herosign-bench -json -batch 256 -sample 2 > BENCH_modeled.json
 //	herosign-bench -list
 //
 // With -json the run is emitted as one machine-readable document (device,
-// batch, sample, per-experiment tables and wall times) so successive PRs
-// can diff the perf trajectory in BENCH_*.json files.
+// batch, sample and the per-experiment tables). BENCH_modeled.json is that
+// document at the settings above, and internal/bench's tests regenerate it
+// cell for cell.
 package main
 
 import (
@@ -18,37 +21,17 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"herosign/internal/bench"
 	"herosign/internal/gpu/device"
 )
-
-// jsonReport is the -json output document.
-type jsonReport struct {
-	Device      string            `json:"device"`
-	Batch       int               `json:"batch"`
-	Sample      int               `json:"sample"`
-	GeneratedAt string            `json:"generated_at"`
-	Experiments []*jsonExperiment `json:"experiments"`
-}
-
-type jsonExperiment struct {
-	ID     string     `json:"id"`
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes,omitempty"`
-	WallMS int64      `json:"wall_ms"`
-}
 
 func main() {
 	gpuName := flag.String("gpu", "RTX 4090", "simulated GPU (name or architecture)")
 	batch := flag.Int("batch", 1024, "batch size (paper Block = 1024)")
 	sample := flag.Int("sample", 2, "functionally executed blocks per launch (counters scale)")
 	exp := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-	format := flag.String("format", "text", "output format: text, csv or json")
-	jsonOut := flag.Bool("json", false, "shorthand for -format json")
+	jsonOut := flag.Bool("json", false, "emit one JSON document instead of text tables")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
@@ -77,44 +60,23 @@ func main() {
 		ids = strings.Split(*exp, ",")
 	}
 
-	// -json is shorthand for -format json (and wins over an explicit
-	// conflicting -format, which would otherwise interleave two syntaxes
-	// on stdout).
-	if *jsonOut {
-		*format = "json"
-	}
-
-	var report *jsonReport
-	if *format == "json" {
-		report = &jsonReport{
-			Device: dev.Name, Batch: *batch, Sample: *sample,
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		}
-	}
-	if *format == "text" {
+	report := &bench.Report{Device: dev.Name, Batch: *batch, Sample: *sample}
+	if !*jsonOut {
 		fmt.Printf("herosign-bench: device=%s batch=%d sample=%d\n\n", dev, *batch, *sample)
 	}
 	for _, id := range ids {
-		start := time.Now()
 		t, err := suite.RunByID(strings.TrimSpace(id))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		switch *format {
-		case "json":
-			report.Experiments = append(report.Experiments, &jsonExperiment{
-				ID: t.ID, Title: t.Title, Header: t.Header, Rows: t.Rows, Notes: t.Notes,
-				WallMS: time.Since(start).Milliseconds(),
-			})
-		case "csv":
-			t.RenderCSV(os.Stdout)
-		default:
+		if *jsonOut {
+			report.Experiments = append(report.Experiments, t)
+		} else {
 			t.Render(os.Stdout)
-			fmt.Printf("(%s generated in %v)\n\n", t.ID, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	if report != nil {
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {

@@ -1,11 +1,19 @@
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"herosign/internal/gpu/device"
 )
+
+// goldenPath is the committed herosign-bench -json document (make bench).
+const goldenPath = "../../BENCH_modeled.json"
 
 func fastSuite() *Suite {
 	s := NewSuite(device.RTX4090)
@@ -14,17 +22,58 @@ func fastSuite() *Suite {
 	return s
 }
 
-// TestEveryExperimentRuns executes each generator once on a reduced batch
-// and checks structural validity of the output table.
-func TestEveryExperimentRuns(t *testing.T) {
+// sweep is one regeneration of every experiment at the golden document's
+// device, batch and sample, shared by the tests that read it.
+var sweep struct {
+	once   sync.Once
+	err    error
+	golden *Report
+	tables map[string]*Table
+	errs   map[string]error
+}
+
+func regenerate(t *testing.T) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short")
 	}
-	s := fastSuite()
+	sweep.once.Do(func() {
+		raw, err := os.ReadFile(goldenPath)
+		if err != nil {
+			sweep.err = err
+			return
+		}
+		var golden Report
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			sweep.err = err
+			return
+		}
+		dev, err := device.ByName(golden.Device)
+		if err != nil {
+			sweep.err = err
+			return
+		}
+		s := NewSuite(dev)
+		s.Batch, s.Sample = golden.Batch, golden.Sample
+		sweep.golden = &golden
+		sweep.tables = map[string]*Table{}
+		sweep.errs = map[string]error{}
+		for _, e := range Experiments() {
+			sweep.tables[e.ID], sweep.errs[e.ID] = e.Run(s)
+		}
+	})
+	if sweep.err != nil {
+		t.Fatalf("%s: %v", goldenPath, sweep.err)
+	}
+}
+
+// TestEveryExperimentRuns checks that each generator runs and returns a
+// structurally valid table.
+func TestEveryExperimentRuns(t *testing.T) {
+	regenerate(t)
 	for _, e := range Experiments() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Run(s)
+			tab, err := sweep.tables[e.ID], sweep.errs[e.ID]
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,6 +90,73 @@ func TestEveryExperimentRuns(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestModeledTablesRepeatExactly pins every modeled table: the model is
+// deterministic and independent of the host's width, so each header and
+// cell must equal BENCH_modeled.json. After an intended model change,
+// regenerate the file with make bench and review its diff.
+func TestModeledTablesRepeatExactly(t *testing.T) {
+	regenerate(t)
+	want := map[string]*Table{}
+	for _, tab := range sweep.golden.Experiments {
+		want[tab.ID] = tab
+	}
+	for _, e := range Experiments() {
+		t.Run(e.ID, func(t *testing.T) {
+			w := want[e.ID]
+			if w == nil {
+				t.Fatalf("%s holds no %s table; regenerate it with make bench", goldenPath, e.ID)
+			}
+			delete(want, e.ID)
+			if err := sweep.errs[e.ID]; err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range diffTables(sweep.tables[e.ID], w) {
+				t.Error(d)
+			}
+		})
+	}
+	for id := range want {
+		t.Errorf("%s holds a %s table that no experiment generates", goldenPath, id)
+	}
+}
+
+// diffTables lists every difference between a regenerated table and its
+// golden copy, naming the row and column of each differing cell.
+func diffTables(got, want *Table) []string {
+	var diffs []string
+	add := func(format string, args ...any) {
+		diffs = append(diffs, fmt.Sprintf("%s: "+format, append([]any{want.ID}, args...)...))
+	}
+	if got.Title != want.Title {
+		add("title: got %q, want %q", got.Title, want.Title)
+	}
+	if !slices.Equal(got.Header, want.Header) {
+		add("header: got %q, want %q", got.Header, want.Header)
+	}
+	if !slices.Equal(got.Notes, want.Notes) {
+		add("notes: got %q, want %q", got.Notes, want.Notes)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		add("%d rows, want %d", len(got.Rows), len(want.Rows))
+	}
+	for i := range min(len(got.Rows), len(want.Rows)) {
+		g, w := got.Rows[i], want.Rows[i]
+		if len(g) != len(w) {
+			add("row %d: %d cells, want %d", i, len(g), len(w))
+		}
+		for j := range min(len(g), len(w)) {
+			if g[j] != w[j] {
+				col := fmt.Sprint(j)
+				if j < len(want.Header) {
+					col = want.Header[j]
+				}
+				add("row %d (%s) column %q: got %q, want %q", i, w[0], col, g[j], w[j])
+			}
+		}
+	}
+	return diffs
 }
 
 // TestRunByIDUnknown covers the error path.

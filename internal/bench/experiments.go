@@ -268,24 +268,14 @@ func (s *Suite) Table9() (*Table, error) {
 	return t, nil
 }
 
-// Table10 regenerates the CPU comparison: the paper's AVX2 constants plus a
-// real measured multi-goroutine Go signer on this machine.
+// Table10 regenerates the CPU comparison: the paper's AVX2 constants
+// against the modeled HERO-Sign throughput.
 func (s *Suite) Table10() (*Table, error) {
 	t := &Table{
-		ID: "table10", Title: "CPU comparison (paper Table X) + measured Go CPU baseline",
-		Header: []string{"Set", "AVX2 1T KOPS", "AVX2 16T KOPS", "Go measured KOPS",
-			"Hero KOPS", "Hero/AVX2-16T"},
-		Notes: []string{"Go measured: this machine, GOMAXPROCS workers, 16 messages"},
+		ID: "table10", Title: "CPU comparison (paper Table X)",
+		Header: []string{"Set", "AVX2 1T KOPS", "AVX2 16T KOPS", "Hero KOPS", "Hero/AVX2-16T"},
 	}
 	for _, p := range params.FastSets() {
-		msgs := make([][]byte, 16)
-		for i := range msgs {
-			msgs[i] = []byte{byte(i), 'c', 'p', 'u'}
-		}
-		_, cpuRes, err := cpuref.SignBatch(s.key(p), msgs, 0)
-		if err != nil {
-			return nil, err
-		}
 		gres, err := s.measure(p, core.AllFeatures(), 0, nil)
 		if err != nil {
 			return nil, err
@@ -293,7 +283,6 @@ func (s *Suite) Table10() (*Table, error) {
 		avx := cpuref.PaperAVX2KOPS[p.Name]
 		t.Rows = append(t.Rows, []string{
 			p.Name, fmt.Sprintf("%.3f", avx.SingleThread), fmt.Sprintf("%.3f", avx.Threads16),
-			fmt.Sprintf("%.3f", cpuRes.KOPS),
 			f2(gres.ThroughputKOPS), f1(gres.ThroughputKOPS / avx.Threads16),
 		})
 	}

@@ -22,6 +22,7 @@ type Suite struct {
 
 	keys    map[string]*spx.PrivateKey
 	signers map[string]*core.Signer
+	results map[string]*core.BatchResult
 }
 
 // NewSuite builds a Suite for the device (nil selects the RTX 4090, the
@@ -36,6 +37,7 @@ func NewSuite(d *device.Device) *Suite {
 		Sample:  2,
 		keys:    map[string]*spx.PrivateKey{},
 		signers: map[string]*core.Signer{},
+		results: map[string]*core.BatchResult{},
 	}
 }
 
@@ -78,16 +80,29 @@ func (s *Suite) signer(p *params.Params, f core.Features, dev *device.Device) (*
 	return sg, nil
 }
 
-// measure runs a sampled timing batch.
+// measure runs a sampled timing batch. The model is deterministic, so a
+// configuration several experiments share is simulated once per Suite.
 func (s *Suite) measure(p *params.Params, f core.Features, batch int, dev *device.Device) (*core.BatchResult, error) {
-	sg, err := s.signer(p, f, dev)
-	if err != nil {
-		return nil, err
+	if dev == nil {
+		dev = s.Dev
 	}
 	if batch == 0 {
 		batch = s.Batch
 	}
-	return sg.MeasureBatch(s.key(p), batch, s.Sample)
+	key := fmt.Sprintf("%s/%s/%s/%d/%d", p.Name, dev.Name, featKey(f), batch, s.Sample)
+	if res, ok := s.results[key]; ok {
+		return res, nil
+	}
+	sg, err := s.signer(p, f, dev)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sg.MeasureBatch(s.key(p), batch, s.Sample)
+	if err != nil {
+		return nil, err
+	}
+	s.results[key] = res
+	return res, nil
 }
 
 // Experiment couples an id with its generator.
@@ -121,11 +136,6 @@ func Experiments() []Experiment {
 		{"ablation-streams", "Stream-count sensitivity", (*Suite).AblationStreams},
 		{"profile", "Nsight-style kernel profiles", (*Suite).Profile},
 		{"verify", "Batch verification & key generation", (*Suite).VerifyThroughput},
-		{"lanes", "Host multi-lane SHA-256 engine (wall-clock)", (*Suite).LaneEngine},
-		{"overload", "Admission control under 2x overload (wall-clock)", (*Suite).Overload},
-		{"tenants", "Tenant isolation: paced tenant vs closed-loop flood (wall-clock)", (*Suite).Tenants},
-		{"remote", "Remote fleet-of-fleets: hedging and degraded leaf (wall-clock)", (*Suite).RemoteFleet},
-		{"memo", "Per-key hypertree memoization: cold vs warmed steady-state (wall-clock)", (*Suite).Memo},
 	}
 }
 

@@ -13,11 +13,22 @@ import (
 
 // Table is one rendered experiment.
 type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	ID     string     `json:"id"`
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
+	Notes  []string   `json:"notes,omitempty"`
+}
+
+// Report is the machine-readable form of a run (herosign-bench -json): the
+// settings that determine every modeled number, and the tables. It carries
+// no timestamp or wall time, so two runs at the same settings are
+// byte-identical; BENCH_modeled.json is one.
+type Report struct {
+	Device      string   `json:"device"`
+	Batch       int      `json:"batch"`
+	Sample      int      `json:"sample"`
+	Experiments []*Table `json:"experiments"`
 }
 
 // Render writes the table as aligned text.
@@ -72,25 +83,3 @@ func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f2x(v float64) string { return fmt.Sprintf("%.2fx", v) }
 func f4(v float64) string  { return fmt.Sprintf("%.4f", v) }
 func d0(v int64) string    { return fmt.Sprintf("%d", v) }
-
-// RenderCSV writes the table as RFC-4180-style CSV (quotes only where
-// needed), for downstream plotting of the regenerated figures.
-func (t *Table) RenderCSV(w io.Writer) {
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				fmt.Fprint(w, ",")
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				fmt.Fprintf(w, "%q", c)
-			} else {
-				fmt.Fprint(w, c)
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	writeRow(t.Header)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-}

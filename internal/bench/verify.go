@@ -2,32 +2,18 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"herosign/internal/core"
-	"herosign/internal/cpuref"
-	"herosign/internal/sha2"
 	"herosign/internal/spx/params"
 )
 
-// VerifyThroughput measures batch verification and key generation: the
-// GPU-simulated lifecycle numbers, plus wall-clock cpuref verification on
-// the build machine — the seed scalar baseline (stdlib-accelerated SHA-256,
-// one spx.Verify per pair) against the reusable-Verifier lane-batched path
-// (native kernels, cross-signature step-synchronous chains) at one thread
-// and all cores. Verdict equality between the paths is asserted on every
-// measured batch.
+// VerifyThroughput models batch verification and key generation on the
+// simulated GPU. The signatures it verifies are produced by the same
+// engine, and every one must be accepted.
 func (s *Suite) VerifyThroughput() (*Table, error) {
-	nt := runtime.GOMAXPROCS(0)
 	t := &Table{
-		ID: "verify", Title: "Batch verification & key generation: simulated GPU and wall-clock CPU",
-		Header: []string{"Set", "GPU KOPS", "Verify Kernel us", "KeyGen Kernel us",
-			"cpu v/s 1T base", "cpu v/s 1T lane", "1T gain", fmt.Sprintf("cpu v/s %dT lane", nt)},
-		Notes: []string{
-			"base = seed configuration: stdlib-accelerated SHA-256, one scalar spx.Verify per pair",
-			"lane = reusable spx.Verifier, cross-signature lane batching on the default backend (native SHA-NI where available)",
-		},
+		ID: "verify", Title: "Batch verification & key generation (simulated GPU)",
+		Header: []string{"Set", "GPU KOPS", "Verify Kernel us", "KeyGen Kernel us"},
 	}
 	for _, p := range params.FastSets() {
 		sg, err := s.signer(p, core.AllFeatures(), nil)
@@ -71,63 +57,10 @@ func (s *Suite) VerifyThroughput() (*Table, error) {
 			return nil, err
 		}
 
-		// Wall-clock CPU verification over the GPU-produced signatures
-		// (byte-identical to cpuref signing, so the comparison is fair).
-		pk := &sk.PublicKey
-		baseRate, err := measureVerify(msgs, func() ([]bool, error) {
-			prevN := sha2.SetNative(false)
-			prevA := sha2.SetAccelerated(true)
-			ok, _, err := cpuref.VerifyBatchScalar(pk, msgs, res.Sigs, 1)
-			sha2.SetAccelerated(prevA)
-			sha2.SetNative(prevN)
-			return ok, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		bv := cpuref.NewBatchVerifier(pk)
-		lane1Rate, err := measureVerify(msgs, func() ([]bool, error) {
-			ok, _, err := bv.VerifyBatch(msgs, res.Sigs, 1)
-			return ok, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		laneNRate, err := measureVerify(msgs, func() ([]bool, error) {
-			ok, _, err := bv.VerifyBatch(msgs, res.Sigs, nt)
-			return ok, err
-		})
-		if err != nil {
-			return nil, err
-		}
-
 		t.Rows = append(t.Rows, []string{
 			p.Name, f2(vres.ThroughputKOPS),
 			f2(vres.Kernel.DurationUs), f2(kres.Kernel.DurationUs),
-			f1(baseRate), f1(lane1Rate), f2x(lane1Rate / baseRate), f1(laneNRate),
 		})
 	}
 	return t, nil
-}
-
-// measureVerify repeats the batch until roughly 250ms of measurement and
-// returns verifies/s, failing if any verdict comes back false.
-func measureVerify(msgs [][]byte, run func() ([]bool, error)) (float64, error) {
-	var verified int
-	var elapsed time.Duration
-	for elapsed < 250*time.Millisecond {
-		start := time.Now()
-		ok, err := run()
-		if err != nil {
-			return 0, err
-		}
-		elapsed += time.Since(start)
-		verified += len(msgs)
-		for i, o := range ok {
-			if !o {
-				return 0, fmt.Errorf("verify experiment: cpu path rejected signature %d", i)
-			}
-		}
-	}
-	return float64(verified) / elapsed.Seconds(), nil
 }

@@ -112,46 +112,6 @@ func VerifyBatch(pk *spx.PublicKey, msgs, sigs [][]byte, threads int) ([]bool, *
 	return NewBatchVerifier(pk).VerifyBatch(msgs, sigs, threads)
 }
 
-// VerifyBatchScalar is the strided per-signature reference path (one
-// spx.Verify call per pair, no cross-signature lane batching). It is kept
-// as the correctness and throughput baseline for VerifyBatch.
-func VerifyBatchScalar(pk *spx.PublicKey, msgs, sigs [][]byte, threads int) ([]bool, *Result, error) {
-	if len(msgs) != len(sigs) {
-		return nil, nil, fmt.Errorf("cpuref: %d messages but %d signatures", len(msgs), len(sigs))
-	}
-	if len(msgs) == 0 {
-		return []bool{}, &Result{Params: pk.Params}, nil
-	}
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	if threads > len(msgs) {
-		threads = len(msgs)
-	}
-	ok := make([]bool, len(msgs))
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(msgs); i += threads {
-				ok[i] = spx.Verify(pk, msgs[i], sigs[i]) == nil
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	res := &Result{
-		Params:   pk.Params,
-		Threads:  threads,
-		Messages: len(msgs),
-		Elapsed:  elapsed,
-		KOPS:     float64(len(msgs)) / elapsed.Seconds() / 1000,
-	}
-	return ok, res, nil
-}
-
 // BatchVerifier pools reusable spx.Verifier contexts for one public key so
 // repeated VerifyBatch calls — the service steady state — hand every worker
 // a warm context instead of rebuilding arenas per request. Safe for
