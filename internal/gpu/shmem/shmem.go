@@ -214,37 +214,54 @@ func warpConflicts(lanes []access) (int, int) {
 	// Expand every lane's access into 4-byte word addresses, then process
 	// in phases of 32 words (128 bytes of request traffic per phase, the
 	// hardware wavefront granularity for vectorized accesses).
-	var words []int
+	var ph phase
+	trans, phases := 0, 0
 	for _, a := range lanes {
 		first := a.physOff / BankBytes
 		last := (a.physOff + a.numBytes - 1) / BankBytes
 		for w := first; w <= last; w++ {
-			words = append(words, w)
-		}
-	}
-	trans, conflicts := 0, 0
-	for start := 0; start < len(words); start += Banks {
-		end := start + Banks
-		if end > len(words) {
-			end = len(words)
-		}
-		phase := words[start:end]
-		perBank := make(map[int]map[int]struct{})
-		for _, w := range phase {
-			b := w % Banks
-			if perBank[b] == nil {
-				perBank[b] = make(map[int]struct{})
-			}
-			perBank[b][w] = struct{}{}
-		}
-		wavefronts := 1
-		for _, set := range perBank {
-			if len(set) > wavefronts {
-				wavefronts = len(set)
+			ph.add(w)
+			if ph.n == Banks {
+				trans += ph.flush()
+				phases++
 			}
 		}
-		trans += wavefronts
-		conflicts += wavefronts - 1
 	}
-	return trans, conflicts
+	if ph.n > 0 {
+		trans += ph.flush()
+		phases++
+	}
+	return trans, trans - phases
+}
+
+// phase collects the word addresses of one request phase by bank. It is a
+// fixed-size value: settling a warp access allocates nothing.
+type phase struct {
+	n     int               // words added, repeats included
+	depth [Banks]int        // distinct words seen per bank
+	words [Banks][Banks]int // the distinct words of each bank
+	worst int               // the largest depth
+}
+
+// add records one word access; a repeat of a word already in its bank is a
+// broadcast and costs nothing.
+func (ph *phase) add(w int) {
+	ph.n++
+	b := w % Banks
+	for _, seen := range ph.words[b][:ph.depth[b]] {
+		if seen == w {
+			return
+		}
+	}
+	ph.words[b][ph.depth[b]] = w
+	ph.depth[b]++
+	ph.worst = max(ph.worst, ph.depth[b])
+}
+
+// flush returns the phase's wavefronts — one per distinct word in its most
+// contended bank — and empties it.
+func (ph *phase) flush() int {
+	wavefronts := ph.worst
+	ph.n, ph.worst, ph.depth = 0, 0, [Banks]int{}
+	return wavefronts
 }

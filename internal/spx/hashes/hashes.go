@@ -17,6 +17,8 @@
 // padding machinery entirely, and the FLanes/PRFLanes/HLanes/ThashLanes
 // entry points advance up to sha2.Lanes independent hashes per multi-lane
 // pass — the host-side mirror of HERO-Sign's warp-parallel chain stepping.
+// ChainLanes runs whole WOTS+ F-chains that way, one chain resident per
+// lane until it ends (chains.go).
 //
 // A Ctx carries an optional *Counters so that callers (the GPU simulator's
 // kernels) can attribute exact compression-function counts to every
@@ -83,6 +85,7 @@ type Ctx struct {
 	laneShape  [sha2.Lanes]int32           // staged single-block msgLen per lane; -1 = stale padding
 	laneAdrs   [sha2.Lanes]address.Address // HReduceLevel staging (a stack
 	// array would escape through the opaque setAdrs callback)
+	chainOrder []int32 // ChainLanes schedule: live chains, longest first
 
 	// Scratch arenas loaned to the spx component packages so their hot
 	// paths perform no per-call allocation. Lazily sized from P; reset by
@@ -146,6 +149,7 @@ func (c *Ctx) Clone(counter *Counters) *Ctx {
 	dup.lengthsBatch = nil
 	dup.indicesBatch = nil
 	dup.forsRootsBatch = nil
+	dup.chainOrder = nil
 	return &dup
 }
 
@@ -256,19 +260,19 @@ func (c *Ctx) XMSSLevelBuf() []byte {
 
 // --- counting -------------------------------------------------------------
 
-// countThash charges one thash over msgLen message bytes (past the seed
-// block) to the attached counter.
-func (c *Ctx) countThash(msgLen int) {
+// countThash charges calls thashes over msgLen message bytes each (past
+// the seed block) to the attached counter.
+func (c *Ctx) countThash(msgLen int, calls int64) {
 	if c.C == nil {
 		return
 	}
-	c.C.Thash++
-	c.C.Bytes += int64(msgLen)
+	c.C.Thash += calls
+	c.C.Bytes += calls * int64(msgLen)
 	// Total absorbed: one seed block (cached midstate — on GPU this is a
 	// constant-memory preimage, but the compression for it still ran once;
 	// we charge only the non-cached part, matching what the kernel executes)
 	// plus the address and message.
-	c.C.Compress256 += int64(sha2.CompressionBlocks256(sha2.BlockSize256+msgLen) - 1)
+	c.C.Compress256 += calls * int64(sha2.CompressionBlocks256(sha2.BlockSize256+msgLen)-1)
 }
 
 // countPRF charges one PRF call.
@@ -321,7 +325,7 @@ func (c *Ctx) thash2(out, in1, in2 []byte, adrs *address.Address) {
 // and T_l (l blocks) uniformly.
 func (c *Ctx) Thash(out []byte, in []byte, adrs *address.Address) {
 	c.thash2(out, in, nil, adrs)
-	c.countThash(address.CompressedSize + len(in))
+	c.countThash(address.CompressedSize+len(in), 1)
 }
 
 // F is the single-input tweakable hash used in WOTS+ chains and FORS leaves.
@@ -334,7 +338,7 @@ func (c *Ctx) F(out, in []byte, adrs *address.Address) {
 func (c *Ctx) H(out, left, right []byte, adrs *address.Address) {
 	n := c.P.N
 	c.thash2(out, left[:n], right[:n], adrs)
-	c.countThash(address.CompressedSize + 2*n)
+	c.countThash(address.CompressedSize+2*n, 1)
 }
 
 // PRF derives an N-byte secret value for adrs from SK.seed.
@@ -442,9 +446,7 @@ func (c *Ctx) FLanes(count int, outs, ins *[sha2.Lanes][]byte, adrs *[sha2.Lanes
 		trimmed[i] = ins[i][:n]
 	}
 	c.thashLanes(count, outs, &trimmed, nil, adrs)
-	for i := 0; i < count; i++ {
-		c.countThash(address.CompressedSize + n)
-	}
+	c.countThash(address.CompressedSize+n, int64(count))
 }
 
 // HLanes computes outs[i] = H(lefts[i], rights[i], adrs[i]) for i < count.
@@ -456,9 +458,7 @@ func (c *Ctx) HLanes(count int, outs, lefts, rights *[sha2.Lanes][]byte, adrs *[
 		r[i] = rights[i][:n]
 	}
 	c.thashLanes(count, outs, &l, &r, adrs)
-	for i := 0; i < count; i++ {
-		c.countThash(address.CompressedSize + 2*n)
-	}
+	c.countThash(address.CompressedSize+2*n, int64(count))
 }
 
 // HReduceLevel folds one in-place Merkle level of width nodes stored back

@@ -75,8 +75,8 @@ func (v *Verifier) Verify(msg, sig []byte) error {
 
 // VerifyBatch checks len(msgs) signatures at once, lane-batching the hash
 // work across signatures: groups of up to sha2.Lanes signatures run their
-// FORS path climbs level-synchronously and their WOTS+ chain steps
-// step-synchronously, so multi-lane compression passes stay nearly full
+// FORS path climbs level-synchronously and their WOTS+ chains on the
+// lane-resident chain engine, so multi-lane compression passes stay full
 // where a single signature's live work dips. Verdicts are identical to
 // calling Verify per pair; a wrong-length signature simply yields false
 // without joining a lane group. ok receives one verdict per pair and is

@@ -9,10 +9,16 @@
 // schedule chains onto threads exactly as the CUDA implementation does.
 //
 // The whole-key operations (PKGen, Sign, PKFromSig) are lane-batched: all
-// WOTSLen chains advance step-synchronously, one F per chain per multi-lane
-// pass (hashes.FLanes), mirroring a warp advancing independent chains in
-// lockstep. Outputs are byte-identical to the per-chain path, and hash
-// counters are charged per logical call, so modeled metrics do not change.
+// WOTSLen chains advance step-synchronously, one F per live chain per
+// multi-lane pass (hashes.FLanes), mirroring a warp advancing independent
+// chains in lockstep. PKFromSig stays on that loop as the reference for
+// the batched verification path: PKFromSigBatch hands all b*WOTSLen chains
+// of a batch to the lane-resident chain engine (hashes.Ctx.ChainLanes),
+// where each lane keeps one chain until it ends and is then refilled with
+// another — no step barrier, no rescan of finished chains; HERO-Sign's
+// one-chain-per-thread, full-warp discipline. Outputs are byte-identical
+// to the per-chain path, and hash counters are charged per logical call,
+// so modeled metrics do not change.
 package wots
 
 import (
@@ -189,64 +195,32 @@ func Sign(ctx *hashes.Ctx, sig, msg []byte, adrs *address.Address) {
 }
 
 // PKFromSigBatch recovers b compressed public keys at once, one per
-// signature, scheduling the chain work of all signatures step-synchronously:
-// per hash position s every live chain of every signature takes one F, so
-// lane passes stay nearly full even where a single signature's live-chain
-// count dips (the long tail of high-digit chains). pks receives b N-byte
-// public keys back to back. msgs[j] is the N-byte signed value of signature
-// j; pks may overlap the msgs storage — every message is consumed before the
-// first public-key byte is written. adrs[j] must carry signature j's
-// key-pair addressing (type WOTSHash). Outputs are byte-identical to b
-// scalar PKFromSig calls.
+// signature, running the b*WOTSLen chains of all signatures through the
+// lane-resident chain engine (hashes.Ctx.ChainLanes): a lane that finishes
+// a chain is refilled at once with another, from any signature, so lane
+// passes stay full without a step barrier and finished chains are never
+// revisited. pks receives b N-byte public keys back to back. msgs[j] is the
+// N-byte signed value of signature j; pks may overlap the msgs storage —
+// every message is consumed before the first public-key byte is written.
+// adrs[j] must carry signature j's key-pair addressing (type WOTSHash).
+// Outputs are byte-identical to b scalar PKFromSig calls.
 func PKFromSigBatch(ctx *hashes.Ctx, b int, pks []byte, sigs, msgs *[sha2.Lanes][]byte, adrs *[sha2.Lanes]address.Address) {
 	p := ctx.P
 	lengths := ctx.WOTSLengthsBatchBuf(b)
 	buf := ctx.WOTSPKBatchBuf(b)
+	var tpl [sha2.Lanes]address.Address
 	for j := 0; j < b; j++ {
 		ChainLengthsInto(p, lengths[j*p.WOTSLen:(j+1)*p.WOTSLen], msgs[j])
 		copy(buf[j*p.WOTSBytes:(j+1)*p.WOTSBytes], sigs[j][:p.WOTSBytes])
-	}
-
-	// Step-synchronous advance pooled across signatures: within one hash
-	// position the chains of different signatures are independent, so a
-	// lane group fills across signature boundaries; only the step boundary
-	// forces a flush (position s+1 of a chain needs its position-s value).
-	// Per-signature template addresses are built once; the inner loop then
-	// pays one struct copy plus the chain/hash words per lane instead of
-	// re-deriving the key-pair prefix and re-zeroing the type words.
-	var tpl [sha2.Lanes]address.Address
-	for j := 0; j < b; j++ {
 		tpl[j].CopyKeyPair(&adrs[j])
 		tpl[j].SetType(address.WOTSHash)
 		tpl[j].SetKeyPair(adrs[j].KeyPair())
 	}
-
-	end := uint32(p.W - 1)
-	var outs [sha2.Lanes][]byte
-	var lanes [sha2.Lanes]address.Address
-	for s := uint32(0); s < end; s++ {
-		count := 0
-		for j := 0; j < b; j++ {
-			base := j * p.WOTSLen
-			for i := 0; i < p.WOTSLen; i++ {
-				if s < lengths[base+i] {
-					continue
-				}
-				outs[count] = buf[(base+i)*p.N : (base+i+1)*p.N]
-				lanes[count] = tpl[j]
-				lanes[count].SetChain(uint32(i))
-				lanes[count].SetHash(s)
-				count++
-				if count == sha2.Lanes {
-					ctx.FLanes(count, &outs, &outs, &lanes)
-					count = 0
-				}
-			}
-		}
-		if count > 0 {
-			ctx.FLanes(count, &outs, &outs, &lanes)
-		}
+	var ends [sha2.Lanes * wotsMaxLen]uint32
+	for i := range ends[:b*p.WOTSLen] {
+		ends[i] = uint32(p.W - 1)
 	}
+	ctx.ChainLanes(buf, lengths, ends[:b*p.WOTSLen], tpl[:b], p.WOTSLen)
 
 	var pkAdrs address.Address
 	for j := 0; j < b; j++ {

@@ -134,9 +134,9 @@ func Sign(ctx *hashes.Ctx, root, sig, msg []byte, treeAdrs *address.Address, lea
 }
 
 // PKFromSigBatch recomputes b subtree roots at once, one per signature:
-// the WOTS+ public-key recoveries run cross-signature step-synchronously
-// (wots.PKFromSigBatch) and the b authentication-path climbs advance
-// level-synchronously in multi-lane H passes. roots holds the b N-byte
+// the WOTS+ public-key recoveries share one lane-resident chain schedule
+// across signatures (wots.PKFromSigBatch) and the b authentication-path
+// climbs advance level-synchronously in multi-lane H passes. roots holds the b N-byte
 // signed messages on entry and receives the b recovered roots on exit (the
 // in-place convention the hypertree layer chain uses; every message is
 // consumed before the first root byte is written). treeAdrs[j] identifies
