@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"herosign/internal/core"
 	"herosign/internal/gpu/device"
@@ -44,15 +45,18 @@ type BatchOutput struct {
 
 	// BusyUs is the backend's execution time for the batch in microseconds:
 	// modeled device time for simulated backends, measured wall time for
-	// real-CPU backends. It feeds the stats and the dispatch weight.
+	// real-CPU backends. A backend whose batches overlap reports each one's
+	// effective share (see BusyClock), so the pool's busy totals do not
+	// count the shared time twice. It feeds the stats and the dispatch weight.
 	BusyUs           float64
 	LaunchOverheadUs float64
 }
 
 // Backend executes flushed batches for one executor: a simulated GPU device,
-// the real-CPU lane engine, or (later) a remote worker. Implementations must
-// be safe for the single pool goroutine that owns them plus concurrent
-// Weight/Capacity/Name readers.
+// the real-CPU lane engine, or a remote worker. The pool that owns a backend
+// keeps up to two batches in flight, so RunBatch may run for two batches at
+// once, beside concurrent Weight/Capacity/Name readers. A backend that must
+// stay exclusive (the modeled GPU device) serializes RunBatch itself.
 type Backend interface {
 	// Name identifies the backend in stats and results.
 	Name() string
@@ -119,20 +123,53 @@ func (m *weightMeter) seed(w float64) {
 	m.mu.Unlock()
 }
 
-// observe folds one executed sign batch (n messages in busyUs) into the
-// estimate.
-func (m *weightMeter) observe(n int, busyUs float64) {
-	if n <= 0 || busyUs <= 0 {
+// observe folds one executed sign batch into the estimate: n messages that
+// ran for wallUs, effUs of which were the batch's own (see BusyClock). The
+// batch moves the estimate toward n/effUs with weight 0.3·effUs/wallUs, so
+// a serial batch (effUs = wallUs) is the plain 0.3 EWMA step toward n/wallUs,
+// while a batch that shared its run with another counts only for its share
+// — two overlapping batches together move the estimate toward their
+// combined rate instead of toward half of it.
+func (m *weightMeter) observe(n int, wallUs, effUs float64) {
+	if n <= 0 || wallUs <= 0 {
 		return
 	}
-	obs := float64(n) / busyUs * 1e6
 	m.mu.Lock()
 	if m.w <= 0 {
-		m.w = obs
+		m.w = float64(n) / wallUs * 1e6
 	} else {
-		m.w = 0.7*m.w + 0.3*obs
+		m.w += 0.3 * (float64(n)*1e6 - m.w*effUs) / wallUs
 	}
 	m.mu.Unlock()
+}
+
+// BusyClock charges the batches of one executor for their effective time
+// when they overlap: a batch that ran from start to end is charged
+// end − max(start, the previous completion on this clock). Serial batches
+// are charged their wall time; overlapping ones split the shared stretch,
+// so the charges sum to (about) the time the executor was busy rather than
+// to the sum of the batches' wall times. Backends that run two batches at
+// once and report measured wall time as BusyUs charge through one.
+type BusyClock struct {
+	mu   sync.Mutex
+	last time.Time
+}
+
+// Charge returns the effective time of a batch that ran from start to end.
+func (c *BusyClock) Charge(start, end time.Time) time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	from := start
+	if c.last.After(from) {
+		from = c.last
+	}
+	if end.After(c.last) {
+		c.last = end
+	}
+	if eff := end.Sub(from); eff > 0 {
+		return eff
+	}
+	return 0
 }
 
 // signerKey identifies one cached core.Signer. Tree Tuning and the adaptive
@@ -185,12 +222,19 @@ func cachedSigner(cfg core.Config, sk *spx.PrivateKey) (*core.Signer, error) {
 }
 
 // deviceBackend runs batches on one simulated GPU device through the HERO
-// engine. BusyUs is modeled device time from the scheduler timelines.
+// engine. BusyUs is modeled device time from the scheduler timelines. The
+// modeled device executes one batch at a time: RunBatch holds mu, so the
+// pool's second in-flight batch waits for the device rather than overlapping
+// it, and modeled busy time adds up as it always has.
 type deviceBackend struct {
 	dev    *device.Device
 	cfg    core.Config // engine knobs; Params/Device filled in Warm
 	signer *core.Signer
 	weight weightMeter
+
+	mu sync.Mutex
+	// onRun, when set (by tests), is called inside the exclusive section.
+	onRun func()
 }
 
 // NewDeviceBackend wraps one simulated GPU device as a Backend with the
@@ -251,13 +295,18 @@ func (b *deviceBackend) RunBatch(ctx context.Context, key *PrivateKey, job *Job)
 	if b.signer == nil {
 		return nil, fmt.Errorf("service: device backend %s used before Warm", b.dev.Name)
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.onRun != nil {
+		b.onRun()
+	}
 	switch job.Kind {
 	case KindSign:
 		res, err := b.signer.SignBatch(key, job.Msgs)
 		if err != nil {
 			return nil, err
 		}
-		b.weight.observe(len(job.Msgs), res.TotalUs)
+		b.weight.observe(len(job.Msgs), res.TotalUs, res.TotalUs)
 		return &BatchOutput{
 			Sigs: res.Sigs, BusyUs: res.TotalUs, LaunchOverheadUs: res.LaunchOverheadUs,
 		}, nil

@@ -17,6 +17,9 @@ import (
 type cpurefBackend struct {
 	threads int
 	weight  weightMeter
+	// busy charges overlapping batches — the pool runs two at once on the
+	// same cores — for their effective time, in BusyUs and in the weight.
+	busy BusyClock
 
 	// Hypertree memoization (NewCPURefBackendMemo): all worker goroutines
 	// share one per-key cache, built — and, when memoWarm is set, fully
@@ -125,9 +128,9 @@ func (b *cpurefBackend) RunBatch(ctx context.Context, key *PrivateKey, job *Job)
 		if err != nil {
 			return nil, err
 		}
-		busyUs := float64(res.Elapsed.Microseconds())
-		b.weight.observe(len(job.Msgs), busyUs)
-		return &BatchOutput{Sigs: sigs, BusyUs: busyUs}, nil
+		effUs := b.charge(res.Elapsed)
+		b.weight.observe(len(job.Msgs), float64(res.Elapsed.Microseconds()), effUs)
+		return &BatchOutput{Sigs: sigs, BusyUs: effUs}, nil
 	case KindVerify:
 		// Lane-batched across signatures via the persistent verifier pool
 		// built in Warm (a one-shot pool covers direct RunBatch callers).
@@ -139,7 +142,7 @@ func (b *cpurefBackend) RunBatch(ctx context.Context, key *PrivateKey, job *Job)
 		if err != nil {
 			return nil, err
 		}
-		return &BatchOutput{OK: ok, BusyUs: float64(res.Elapsed.Microseconds())}, nil
+		return &BatchOutput{OK: ok, BusyUs: b.charge(res.Elapsed)}, nil
 	case KindKeyGen:
 		skSeeds := make([][]byte, len(job.Seeds))
 		skPRFs := make([][]byte, len(job.Seeds))
@@ -151,7 +154,14 @@ func (b *cpurefBackend) RunBatch(ctx context.Context, key *PrivateKey, job *Job)
 		if err != nil {
 			return nil, err
 		}
-		return &BatchOutput{Keys: keys, BusyUs: float64(res.Elapsed.Microseconds())}, nil
+		return &BatchOutput{Keys: keys, BusyUs: b.charge(res.Elapsed)}, nil
 	}
 	return nil, fmt.Errorf("service: unknown job kind %d", job.Kind)
+}
+
+// charge books a batch that just finished after running for elapsed on the
+// backend's busy clock and returns its effective time in microseconds.
+func (b *cpurefBackend) charge(elapsed time.Duration) float64 {
+	end := time.Now()
+	return float64(b.busy.Charge(end.Add(-elapsed), end).Microseconds())
 }

@@ -26,7 +26,8 @@ type stubBackend struct {
 	// perMsg simulates service time per message.
 	perMsg time.Duration
 
-	ran atomic.Int64 // messages executed
+	entered atomic.Int64 // batches that reached RunBatch
+	ran     atomic.Int64 // messages executed
 }
 
 func (b *stubBackend) Name() string           { return b.name }
@@ -35,6 +36,7 @@ func (b *stubBackend) Weight() float64        { return b.weight }
 func (b *stubBackend) Warm(*PrivateKey) error { return nil }
 
 func (b *stubBackend) RunBatch(ctx context.Context, key *PrivateKey, job *Job) (*BatchOutput, error) {
+	b.entered.Add(1)
 	if b.unblock != nil {
 		select {
 		case <-b.unblock:
@@ -232,11 +234,17 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	svc := newStubService(t, stub, WithMaxBatch(1), WithFlushDeadline(time.Millisecond))
 	defer svc.Close()
 
-	// The occupant flushes immediately (MaxBatch 1) and blocks the backend.
-	occ, err := svc.SubmitSign([]byte("occupant"))
-	if err != nil {
-		t.Fatal(err)
+	// Each occupant flushes immediately (MaxBatch 1); together they hold
+	// every one of the pool's execution slots, so the victim must queue.
+	var occs []*Future
+	for i := 0; i < poolInFlight; i++ {
+		occ, err := svc.SubmitSign([]byte(fmt.Sprintf("occupant-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		occs = append(occs, occ)
 	}
+	waitFor(t, 5*time.Second, func() bool { return stub.entered.Load() == poolInFlight })
 	victim, err := svc.SubmitSignOpts("", []byte("victim"), SubmitOpts{
 		Deadline: time.Now().Add(30 * time.Millisecond),
 		Tenant:   "impatient",
@@ -250,14 +258,16 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := occ.Wait(ctx); err != nil {
-		t.Fatalf("occupant: %v", err)
+	for i, occ := range occs {
+		if _, err := occ.Wait(ctx); err != nil {
+			t.Fatalf("occupant %d: %v", i, err)
+		}
 	}
 	if _, err := victim.Wait(ctx); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired-in-queue error = %v, want ErrDeadlineExceeded", err)
 	}
-	if got := stub.ran.Load(); got != 1 {
-		t.Fatalf("backend executed %d messages, want 1 (no work spent on the expired victim)", got)
+	if got := stub.ran.Load(); got != poolInFlight {
+		t.Fatalf("backend executed %d messages, want %d (the occupants; no work spent on the expired victim)", got, poolInFlight)
 	}
 	if ts := findTenant(t, svc.Stats().Tenants, "impatient"); ts.Expired != 1 {
 		t.Fatalf("tenant expired counter = %d, want 1", ts.Expired)

@@ -244,9 +244,13 @@ func TestHTTP504ExpiredInQueue(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	if _, err := svc.SubmitSign([]byte("occupant")); err != nil {
-		t.Fatal(err)
+	// The occupants hold every one of the pool's execution slots.
+	for i := 0; i < poolInFlight; i++ {
+		if _, err := svc.SubmitSign([]byte(fmt.Sprintf("occupant-%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
+	waitFor(t, 5*time.Second, func() bool { return stub.entered.Load() == poolInFlight })
 	timer := time.AfterFunc(100*time.Millisecond, func() { close(unblock) })
 	defer timer.Stop()
 

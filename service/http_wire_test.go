@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,9 +25,8 @@ import (
 // detector as a write racing these reads.
 type gatedBackend struct {
 	stubBackend
-	entered atomic.Int64  // batches that reached the gate
-	step    chan struct{} // one receive per batch
-	opened  sync.Once
+	step   chan struct{} // one receive per batch
+	opened sync.Once
 
 	mu   sync.Mutex
 	seen map[string]int
@@ -216,14 +214,17 @@ func TestCancelledVerifyBatchKeepsItsBuffers(t *testing.T) {
 // executing on messages that live in the request's pooled arena.
 func TestFailedSignBatchMemberKeepsItsBuffers(t *testing.T) {
 	b, svc, h := newGatedService(t)
-	// A first batch holds the backend, so the next request waits in the
-	// pool's queue — its first member flushed alone for its deadline, the
-	// other seven one flush interval later — until that deadline has passed.
-	blocker := make(chan int)
-	go func() {
-		blocker <- serve(context.Background(), h, "/v1/sign/batch", signBatchBody("blocker", nil)).Code
-	}()
-	waitFor(t, 10*time.Second, func() bool { return b.entered.Load() == 1 })
+	// Blocker batches hold every one of the backend's execution slots, so
+	// the next request waits in the pool's queue — its first member flushed
+	// alone for its deadline, the other seven one flush interval later —
+	// until that deadline has passed.
+	blocked := make(chan int, poolInFlight)
+	for i := 0; i < poolInFlight; i++ {
+		go func() {
+			blocked <- serve(context.Background(), h, "/v1/sign/batch", signBatchBody(blockerName(i), nil)).Code
+		}()
+	}
+	waitFor(t, 10*time.Second, func() bool { return b.entered.Load() == poolInFlight })
 
 	deadlines := make([]int64, lifetimeMembers)
 	deadlines[0] = 1
@@ -232,19 +233,21 @@ func TestFailedSignBatchMemberKeepsItsBuffers(t *testing.T) {
 		done <- serve(context.Background(), h, "/v1/sign/batch", signBatchBody("partial", deadlines)).Code
 	}()
 	gate := &svc.router.shards[0].gate
-	waitFor(t, 10*time.Second, func() bool { return gate.depth() == 2*lifetimeMembers })
+	waitFor(t, 10*time.Second, func() bool { return gate.depth() == (poolInFlight+1)*lifetimeMembers })
 	time.Sleep(5 * time.Millisecond) // the event waited for is the 1 ms deadline passing
-	b.step <- struct{}{}
-	if code := <-blocker; code != http.StatusOK {
+	b.step <- struct{}{}             // one blocker goes; its slot takes the queued request
+	if code := <-blocked; code != http.StatusOK {
 		t.Fatalf("blocker batch: status %d", code)
 	}
 	if code := <-done; code != http.StatusGatewayTimeout {
 		t.Fatalf("batch with an expired first member: status %d, want 504", code)
 	}
-	waitFor(t, 10*time.Second, func() bool { return b.entered.Load() == 2 }) // the batch-mates, at the gate
+	// The batch-mates at the gate, beside the blockers still held there.
+	waitFor(t, 10*time.Second, func() bool { return b.entered.Load() == poolInFlight+1 })
 
 	sigBytes := params.SPHINCSPlus128f.SigBytes
-	cycle(t, b, svc, h, lifetimeMembers-1, func(name string) (string, []byte, func(*httptest.ResponseRecorder) error) {
+	held := int64(lifetimeMembers - 1 + (poolInFlight-1)*lifetimeMembers)
+	cycle(t, b, svc, h, held, func(name string) (string, []byte, func(*httptest.ResponseRecorder) error) {
 		return "/v1/sign/batch", signBatchBody(name, nil), func(rec *httptest.ResponseRecorder) error {
 			var resp signBatchResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
@@ -261,9 +264,18 @@ func TestFailedSignBatchMemberKeepsItsBuffers(t *testing.T) {
 			return nil
 		}
 	})
+	for i := 1; i < poolInFlight; i++ {
+		if code := <-blocked; code != http.StatusOK {
+			t.Fatalf("blocker batch: status %d", code)
+		}
+	}
 	wantSeen(t, b, "partial", 1, 2, 3, 4, 5, 6, 7)
-	wantSeen(t, b, "blocker", 0, 7)
+	for i := 0; i < poolInFlight; i++ {
+		wantSeen(t, b, blockerName(i), 0, 7)
+	}
 }
+
+func blockerName(i int) string { return "blocker-" + strconv.Itoa(i) }
 
 // TestHotEndpointsServeDeclinedBodies: bodies the fast scanner declines —
 // an escaped slash inside the base64, a key it does not know, a differently

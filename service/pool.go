@@ -27,8 +27,15 @@ func histIdx(n int) int {
 	return len(histBuckets)
 }
 
-// pool owns one backend's submission queue. A goroutine drains the queue
-// serially — the backend-level analogue of the per-block worker under a
+// poolInFlight is how many batches a pool keeps executing on its backend
+// at once. Two is double buffering: the next batch starts while the current
+// one finishes, so a fork-join backend's idle tail at a batch boundary is
+// filled instead of left waiting on the queue. A third buffer measured no
+// better than two.
+const poolInFlight = 2
+
+// pool owns one backend's submission queue. poolInFlight goroutines drain
+// the queue — the backend-level analogue of the per-block workers under a
 // super-level scheduler — while the shard router above picks which pool
 // each flushed batch lands on.
 type pool struct {
@@ -42,8 +49,9 @@ type pool struct {
 	closing  bool
 	aborting bool
 
-	// done closes when the worker loop exits — how a dynamic-membership
-	// removal waits for the pool's queue to drain.
+	// done closes when every drain loop has exited — how a dynamic-membership
+	// removal waits for the pool's queue to drain and its in-flight batches
+	// to complete.
 	done chan struct{}
 
 	// outstanding counts messages queued or executing on this backend; the
@@ -84,7 +92,7 @@ func (p *pool) enqueue(j *batchJob) {
 	p.mu.Unlock()
 }
 
-// beginClose asks the worker to exit once its queue is empty.
+// beginClose asks the drain loops to exit once the queue is empty.
 func (p *pool) beginClose() {
 	p.mu.Lock()
 	p.closing = true
@@ -92,9 +100,9 @@ func (p *pool) beginClose() {
 	p.mu.Unlock()
 }
 
-// abort makes the worker abandon still-queued batches (their futures
-// resolve ErrClosed) instead of executing them; the batch currently running
-// completes.
+// abort makes the drain loops abandon still-queued batches (their futures
+// resolve ErrClosed) instead of executing them; the batches already
+// running complete.
 func (p *pool) abort() {
 	p.mu.Lock()
 	p.aborting = true
@@ -102,10 +110,25 @@ func (p *pool) abort() {
 	p.mu.Unlock()
 }
 
-// run is the pool's worker loop: serially execute queued batches until
-// closing drains the queue or abort abandons it.
+// run drains the queue with poolInFlight loops until closing empties it
+// or abort abandons it; it returns, closing done, once every loop has.
 func (p *pool) run(ctx context.Context, key *PrivateKey, keyID string) {
 	defer close(p.done)
+	var wg sync.WaitGroup
+	for range poolInFlight - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.drain(ctx, key, keyID)
+		}()
+	}
+	p.drain(ctx, key, keyID)
+	wg.Wait()
+}
+
+// drain is one of the pool's loops: take the oldest queued batch, execute
+// it, repeat.
+func (p *pool) drain(ctx context.Context, key *PrivateKey, keyID string) {
 	for {
 		p.mu.Lock()
 		for len(p.queue) == 0 && !p.closing && !p.aborting {

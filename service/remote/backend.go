@@ -19,6 +19,9 @@ import (
 type Backend struct {
 	f    *Fleet
 	leaf *leaf
+	// busy charges the front end's two in-flight batches for their
+	// effective share of the round trips they overlap.
+	busy service.BusyClock
 
 	closeOnce sync.Once
 }
@@ -149,21 +152,33 @@ func (b *Backend) RunBatch(ctx context.Context, key *service.PrivateKey, job *se
 	// as snapshotted at dispatch, tenant API key), so the leaf's EDF ordering
 	// and per-tenant accounting see what the front end admitted the work
 	// under, and each stays within the leaf's body cap.
+	var out *service.BatchOutput
+	var err error
 	switch job.Kind {
 	case service.KindSign:
 		bodies := wire.EncodeSignBatch(&wire.SignBatchRequest{Messages: job.Msgs, KeyID: keyID,
 			DeadlinesMs: job.DeadlinesMs, Tenants: job.Tenants}, service.MaxBodyBytes)
 		defer bodies.Release()
-		return b.f.runSign(ctx, b.leaf, bodies, len(job.Msgs), key.Params.SigBytes)
+		out, err = b.f.runSign(ctx, b.leaf, bodies, len(job.Msgs), key.Params.SigBytes)
 	case service.KindVerify:
 		bodies := wire.EncodeVerifyBatch(&wire.VerifyBatchRequest{Messages: job.Msgs, Signatures: job.Sigs, KeyID: keyID,
 			DeadlinesMs: job.DeadlinesMs, Tenants: job.Tenants}, service.MaxBodyBytes)
 		defer bodies.Release()
-		return b.f.runVerify(ctx, b.leaf, bodies, len(job.Msgs))
+		out, err = b.f.runVerify(ctx, b.leaf, bodies, len(job.Msgs))
 	case service.KindKeyGen:
-		return b.f.runKeyGen(ctx, b.leaf, key.Params, job.Seeds)
+		out, err = b.f.runKeyGen(ctx, b.leaf, key.Params, job.Seeds)
+	default:
+		return nil, fmt.Errorf("remote: unknown job kind %d", job.Kind)
 	}
-	return nil, fmt.Errorf("remote: unknown job kind %d", job.Kind)
+	if err != nil || out == nil {
+		return out, err
+	}
+	// The winning attempt's round trip ended just now; charge the part of
+	// it the other in-flight batch has not already been charged for.
+	end := time.Now()
+	rtt := time.Duration(out.BusyUs) * time.Microsecond
+	out.BusyUs = float64(b.busy.Charge(end.Add(-rtt), end).Microseconds())
+	return out, nil
 }
 
 // RemoteHealth implements service.RemoteHealthReporter for /v1/stats.
