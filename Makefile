@@ -5,8 +5,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # The default test path runs vet first, mirroring the tier-1 gate, then the
 # suite with ./benchmark in a run of its own: its smoke test drives an open

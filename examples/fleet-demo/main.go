@@ -201,10 +201,7 @@ func main() {
 			for ctx.Err() == nil {
 				msg := fmt.Sprintf("fleet-demo-%d", seq.Add(1))
 				t0 := time.Now()
-				fut, err := front.SubmitSign([]byte(msg))
-				if err == nil {
-					_, err = fut.Wait(ctx)
-				}
+				_, err := front.Sign(ctx, []byte(msg))
 				switch {
 				case err == nil:
 					mu.Lock()
@@ -374,11 +371,7 @@ func main() {
 
 	// KAT cross-check: one more signature through the proxy path must be
 	// byte-identical to the CPU reference.
-	fut, err := front.SubmitSign([]byte("kat-after-failover"))
-	if err != nil {
-		die("post-run sign: %v", err)
-	}
-	res, err := fut.Wait(context.Background())
+	sig, err := front.Sign(context.Background(), []byte("kat-after-failover"))
 	if err != nil {
 		die("post-run sign: %v", err)
 	}
@@ -386,7 +379,7 @@ func main() {
 	if err != nil {
 		die("reference sign: %v", err)
 	}
-	check(bytes.Equal(res.Sig, ref), "proxied signature byte-identical to CPU reference")
+	check(bytes.Equal(sig, ref), "proxied signature byte-identical to CPU reference")
 
 	if fails > 0 {
 		die("%d assertion(s) failed", fails)

@@ -106,7 +106,7 @@ func main() {
 	futs := make([]*service.Future, *n)
 	for i := range msgs {
 		msgs[i] = []byte(fmt.Sprintf("service-demo message %d", i))
-		fut, err := svc.SubmitSign(msgs[i])
+		fut, err := svc.Submit(service.Request{Kind: service.KindSign, Msg: msgs[i]})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func main() {
 	}
 	var keyFuts []*service.Future
 	for i := 0; i < *keygens; i++ {
-		fut, err := svc.SubmitKeyGen(nil)
+		fut, err := svc.Submit(service.Request{Kind: service.KindKeyGen})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func main() {
 			m = append([]byte("tampered "), m...)
 			tampered++
 		}
-		fut, err := svc.SubmitVerifyKey(keyIDs[i], m, sigs[i])
+		fut, err := svc.Submit(service.Request{Kind: service.KindVerify, KeyID: keyIDs[i], Msg: m, Sig: sigs[i]})
 		if err != nil {
 			log.Fatal(err)
 		}

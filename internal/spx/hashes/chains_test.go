@@ -25,8 +25,8 @@ var backends = []struct {
 		return func() { sha2.SetNative(n); sha2.SetAccelerated(a) }
 	}},
 	{"stdlib", func() func() {
-		a := sha2.SetAccelerated(true)
-		return func() { sha2.SetAccelerated(a) }
+		n, a := sha2.SetNative(false), sha2.SetAccelerated(true)
+		return func() { sha2.SetNative(n); sha2.SetAccelerated(a) }
 	}},
 }
 

@@ -46,10 +46,10 @@ type key struct {
 // entry is one cached subtree: the full node table plus per-leaf WOTS+
 // signature slots tagged by signed message.
 type entry struct {
-	nodes  []byte // xmss.NodesLen(p): leaf level .. root
-	wots   []byte // leaves * WOTSBytes, slot per leaf
-	tags   []byte // leaves * N: the message each filled slot signs
-	filled []bool // per leaf: wots/tags slot valid
+	nodes  []byte        // xmss.NodesLen(p): leaf level .. root
+	wots   []byte        // leaves * WOTSBytes, slot per leaf
+	tags   []byte        // leaves * N: the message each filled slot signs
+	filled []bool        // per leaf: wots/tags slot valid
 	elem   *list.Element // LRU position; nil for pinned entries
 }
 

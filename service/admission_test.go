@@ -121,11 +121,11 @@ func TestGlobalLimitBelowShardLimit(t *testing.T) {
 	defer svc.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, err := svc.SubmitSign([]byte(fmt.Sprintf("hold-%d", i))); err != nil {
+		if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("hold-%d", i))}); err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
 	}
-	_, err := svc.SubmitSign([]byte("rejected"))
+	_, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("rejected")})
 	if !IsOverloaded(err) {
 		t.Fatalf("4th submit err = %v, want overload", err)
 	}

@@ -28,7 +28,7 @@ var (
 	// ErrUnknownKey is returned by Submit calls naming a key ID no shard
 	// owns.
 	ErrUnknownKey = errors.New("service: unknown key id")
-	// ErrBatchTooLarge is returned by SubmitSignBatch when the batch could
+	// ErrBatchTooLarge is returned by SubmitBatch when the batch could
 	// never fit the admission caps even on an idle service — unlike
 	// ErrOverloaded, retrying cannot help; split the batch instead.
 	ErrBatchTooLarge = errors.New("service: batch exceeds admission capacity")
@@ -142,6 +142,19 @@ func (r *request) resolve(res Result, err error) {
 	if r.tenant != nil {
 		r.tenant.complete(err, time.Since(r.enqueued))
 	}
+}
+
+// unadmit refunds an admitted request that was never queued: its slots and
+// the tenant accounting admission charged (resolve, which would settle
+// them, will not run).
+func (r *request) unadmit() {
+	r.release()
+	r.tenant.queued.Add(-1)
+	r.tenant.admitted.Add(-1)
+	if r.tenant.bucket != nil {
+		r.tenant.bucket.refund(1)
+	}
+	r.release, r.tenant = nil, nil
 }
 
 // batcher coalesces individual requests of one kind into GPU-sized batches.

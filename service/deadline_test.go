@@ -98,10 +98,10 @@ func TestExpiredDeadlinePreReject(t *testing.T) {
 	defer svc.Close()
 
 	sh := svc.router.shards[0]
-	_, err := svc.SubmitSignOpts("", []byte("late"), SubmitOpts{
+	_, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("late"), SubmitOpts: SubmitOpts{
 		Deadline: time.Now().Add(-time.Second),
 		Tenant:   "expired-tenant",
-	})
+	}})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired deadline error = %v, want ErrDeadlineExceeded", err)
 	}
@@ -132,9 +132,9 @@ func TestUnmeetableDeadlinePreReject(t *testing.T) {
 	sh := svc.router.shards[0]
 
 	// Idle shard: a tight deadline must be admitted (wait estimate is zero).
-	if _, err := svc.SubmitSignOpts("", []byte("idle-ok"), SubmitOpts{
+	if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("idle-ok"), SubmitOpts: SubmitOpts{
 		Deadline: time.Now().Add(50 * time.Millisecond),
-	}); err != nil {
+	}}); err != nil {
 		t.Fatalf("tight deadline rejected on an idle shard: %v", err)
 	}
 	// The tight deadline flushed its batch inline; wait for the slot to drain
@@ -142,7 +142,7 @@ func TestUnmeetableDeadlinePreReject(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return sh.gate.depth() == 0 })
 
 	for i := 0; i < 5; i++ {
-		if _, err := svc.SubmitSign([]byte(fmt.Sprintf("occupant-%d", i))); err != nil {
+		if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("occupant-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,10 +150,10 @@ func TestUnmeetableDeadlinePreReject(t *testing.T) {
 		t.Fatalf("backlog depth = %d, want 5", d)
 	}
 
-	_, err := svc.SubmitSignOpts("", []byte("too-tight"), SubmitOpts{
+	_, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("too-tight"), SubmitOpts: SubmitOpts{
 		Deadline: time.Now().Add(50 * time.Millisecond),
 		Tenant:   "tight",
-	})
+	}})
 	var over *OverloadError
 	if !errors.As(err, &over) {
 		t.Fatalf("unmeetable deadline error = %v, want *OverloadError", err)
@@ -183,9 +183,9 @@ func TestDeadlineShorterThanFlushInterval(t *testing.T) {
 	defer svc.Close()
 
 	msg := []byte("tight but feasible")
-	fut, err := svc.SubmitSignOpts("", msg, SubmitOpts{
+	fut, err := svc.Submit(Request{Kind: KindSign, Msg: msg, SubmitOpts: SubmitOpts{
 		Deadline: time.Now().Add(100 * time.Millisecond),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +210,9 @@ func TestDeadlineTightensFlushTimer(t *testing.T) {
 
 	start := time.Now()
 	// Deadline 650ms with a 500ms interval: the timer re-arms to ~150ms.
-	fut, err := svc.SubmitSignOpts("", []byte("rearm"), SubmitOpts{
+	fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("rearm"), SubmitOpts: SubmitOpts{
 		Deadline: start.Add(650 * time.Millisecond),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +238,17 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	// every one of the pool's execution slots, so the victim must queue.
 	var occs []*Future
 	for i := 0; i < poolInFlight; i++ {
-		occ, err := svc.SubmitSign([]byte(fmt.Sprintf("occupant-%d", i)))
+		occ, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("occupant-%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
 		occs = append(occs, occ)
 	}
 	waitFor(t, 5*time.Second, func() bool { return stub.entered.Load() == poolInFlight })
-	victim, err := svc.SubmitSignOpts("", []byte("victim"), SubmitOpts{
+	victim, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("victim"), SubmitOpts: SubmitOpts{
 		Deadline: time.Now().Add(30 * time.Millisecond),
 		Tenant:   "impatient",
-	})
+	}})
 	if err != nil {
 		t.Fatalf("victim admission (deadline was live): %v", err)
 	}
@@ -335,23 +335,23 @@ func TestShedPolicyEvictsNearestDeadline(t *testing.T) {
 		WithQueueLimit(2), WithShedPolicy(DropOldestDeadline))
 	defer svc.Close()
 
-	oldest, err := svc.SubmitSign([]byte("oldest, no deadline"))
+	oldest, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("oldest, no deadline")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Far enough out that the deadline-tightened timer (deadline minus the
 	// hour-long interval) stays in the future and the request keeps
 	// coalescing.
-	doomed, err := svc.SubmitSignOpts("", []byte("nearest deadline"), SubmitOpts{
+	doomed, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("nearest deadline"), SubmitOpts: SubmitOpts{
 		Deadline: time.Now().Add(90 * time.Minute),
 		Tenant:   "doomed",
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Queue full (2/2): this admission must shed the deadline-carrying entry.
-	if _, err := svc.SubmitSign([]byte("newcomer")); err != nil {
+	if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("newcomer")}); err != nil {
 		t.Fatalf("admission with DropOldestDeadline: %v", err)
 	}
 
@@ -394,7 +394,7 @@ func TestDeadlineRacesClose(t *testing.T) {
 				case 1:
 					opts.Deadline = time.Now().Add(time.Hour)
 				}
-				fut, err := svc.SubmitSignOpts("", []byte(fmt.Sprintf("race-%d-%d", g, i)), opts)
+				fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("race-%d-%d", g, i)), SubmitOpts: opts})
 				if err != nil {
 					if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrDeadlineExceeded) &&
 						!errors.Is(err, ErrOverloaded) {

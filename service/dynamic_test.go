@@ -32,7 +32,7 @@ func TestDynamicAddRemoveBackend(t *testing.T) {
 	ctx := context.Background()
 
 	// No members yet: flushing work fails with ErrNoBackends.
-	fut, err := svc.SubmitSign([]byte("before-join"))
+	fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("before-join")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestDynamicAddRemoveBackend(t *testing.T) {
 	msgs := make([][]byte, 6)
 	for i := range msgs {
 		msgs[i] = []byte(fmt.Sprintf("dynamic-%d", i))
-		fut, err := svc.SubmitSign(msgs[i])
+		fut, err := svc.Submit(Request{Kind: KindSign, Msg: msgs[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestDynamicAddRemoveBackend(t *testing.T) {
 	if got := len(svc.Shards()[0].Backends); got != 0 {
 		t.Fatalf("shard backends after remove = %d, want 0", got)
 	}
-	fut, err = svc.SubmitSign([]byte("after-leave"))
+	fut, err = svc.Submit(Request{Kind: KindSign, Msg: []byte("after-leave")})
 	if err != nil {
 		t.Fatal(err)
 	}

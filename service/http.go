@@ -275,7 +275,7 @@ func writeWire(w http.ResponseWriter, b *wire.Buf) {
 
 func (s *Service) handleSign(w http.ResponseWriter, r *http.Request) {
 	in := wire.ReadInput(r.Body, r.ContentLength)
-	defer in.Release() // SubmitSignOpts copies the message
+	defer in.Release() // Submit copies the message
 	req, err := in.DecodeSign()
 	if err != nil {
 		writeDecodeError(w, err)
@@ -285,7 +285,7 @@ func (s *Service) handleSign(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fut, err := s.SubmitSignOpts(req.KeyID, req.Message, opts)
+	fut, err := s.Submit(Request{Kind: KindSign, KeyID: req.KeyID, Msg: req.Message, SubmitOpts: opts})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -355,7 +355,7 @@ func (s *Service) handleSignBatch(w http.ResponseWriter, r *http.Request) {
 		keyID = s.router.route().keyID
 	}
 	recycle = false
-	futs, err := s.submitSignBatch(keyID, req.Messages, opts, true)
+	futs, err := s.submitBatch(KindSign, keyID, req.Messages, nil, opts)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -375,7 +375,7 @@ func (s *Service) handleSignBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	in := wire.ReadInput(r.Body, r.ContentLength)
-	defer in.Release() // SubmitVerifyKeyOpts copies the pair
+	defer in.Release() // Submit copies the pair
 	req, err := in.DecodeVerify()
 	if err != nil {
 		writeDecodeError(w, err)
@@ -385,7 +385,8 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fut, err := s.SubmitVerifyKeyOpts(req.KeyID, req.Message, req.Signature, opts)
+	fut, err := s.Submit(Request{Kind: KindVerify, KeyID: req.KeyID,
+		Msg: req.Message, Sig: req.Signature, SubmitOpts: opts})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -403,7 +404,7 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 // handleVerifyBatch checks a set of (message, signature) pairs against one
 // key domain in a single round trip — the wire path remote front ends
 // proxy coalesced verify batches through. Admission is all-or-nothing
-// (SubmitVerifyBatchKey): a 429 means no pair of the batch was admitted and
+// (SubmitBatch): a 429 means no pair of the batch was admitted and
 // no verification work was spent, so a retry after Retry-After is cheap.
 // A pair whose signature has the wrong length for the parameter set is
 // reported invalid (not an error); shutdown maps to 503 for the whole
@@ -451,7 +452,7 @@ func (s *Service) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	var futs []*Future
 	if keyID != "" {
 		recycle = false
-		futs, err = s.submitVerifyBatch(keyID, req.Messages, req.Signatures, opts, true)
+		futs, err = s.submitBatch(KindVerify, keyID, req.Messages, req.Signatures, opts)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -465,7 +466,8 @@ func (s *Service) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 			if opts != nil {
 				memberOpts = opts[i]
 			}
-			fut, err := s.SubmitVerifyKeyOpts(keyID, req.Messages[i], req.Signatures[i], memberOpts)
+			fut, err := s.Submit(Request{Kind: KindVerify,
+				Msg: req.Messages[i], Sig: req.Signatures[i], SubmitOpts: memberOpts})
 			if err != nil {
 				writeError(w, err)
 				return
@@ -515,9 +517,9 @@ func (s *Service) handleKeyGen(w http.ResponseWriter, r *http.Request) {
 		// Deterministic path: one key per seed triple, Count ignored.
 		futs = make([]*Future, 0, len(req.Seeds))
 		for _, tr := range req.Seeds {
-			fut, err := s.SubmitKeyGenOpts(&core.SeedTriple{
+			fut, err := s.Submit(Request{Kind: KindKeyGen, Seed: &core.SeedTriple{
 				SKSeed: tr.SKSeed, SKPRF: tr.SKPRF, PKSeed: tr.PKSeed,
-			}, opts)
+			}, SubmitOpts: opts})
 			if err != nil {
 				writeError(w, err)
 				return
@@ -527,7 +529,7 @@ func (s *Service) handleKeyGen(w http.ResponseWriter, r *http.Request) {
 	} else {
 		futs = make([]*Future, 0, req.Count)
 		for i := 0; i < req.Count; i++ {
-			fut, err := s.SubmitKeyGenOpts(nil, opts)
+			fut, err := s.Submit(Request{Kind: KindKeyGen, SubmitOpts: opts})
 			if err != nil {
 				writeError(w, err)
 				return

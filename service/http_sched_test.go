@@ -105,7 +105,7 @@ func TestHTTPDeadlinePrecedence(t *testing.T) {
 	defer svc.Close() // before ts.Close: draining unblocks the pending handler
 
 	for i := 0; i < 90; i++ {
-		if _, err := svc.SubmitSign([]byte(fmt.Sprintf("occupant-%d", i))); err != nil {
+		if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("occupant-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +246,7 @@ func TestHTTP504ExpiredInQueue(t *testing.T) {
 
 	// The occupants hold every one of the pool's execution slots.
 	for i := 0; i < poolInFlight; i++ {
-		if _, err := svc.SubmitSign([]byte(fmt.Sprintf("occupant-%d", i))); err != nil {
+		if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("occupant-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}

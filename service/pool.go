@@ -100,14 +100,22 @@ func (p *pool) beginClose() {
 	p.mu.Unlock()
 }
 
-// abort makes the drain loops abandon still-queued batches (their futures
-// resolve ErrClosed) instead of executing them; the batches already
-// running complete.
+// abort resolves every still-queued batch ErrClosed at once and makes the
+// drain loops exit instead of taking more work; the batches already running
+// complete. Call it after beginClose, once nothing more is enqueued.
 func (p *pool) abort() {
 	p.mu.Lock()
 	p.aborting = true
+	abandoned := p.queue
+	p.queue = nil
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	for _, j := range abandoned {
+		for _, r := range j.reqs {
+			r.resolve(Result{}, ErrClosed)
+		}
+		p.outstanding.Add(-int64(len(j.reqs)))
+	}
 }
 
 // run drains the queue with poolInFlight loops until closing empties it
@@ -134,19 +142,7 @@ func (p *pool) drain(ctx context.Context, key *PrivateKey, keyID string) {
 		for len(p.queue) == 0 && !p.closing && !p.aborting {
 			p.cond.Wait()
 		}
-		if p.aborting {
-			abandoned := p.queue
-			p.queue = nil
-			p.mu.Unlock()
-			for _, j := range abandoned {
-				for _, r := range j.reqs {
-					r.resolve(Result{}, ErrClosed)
-				}
-				p.outstanding.Add(-int64(len(j.reqs)))
-			}
-			return
-		}
-		if len(p.queue) == 0 && p.closing {
+		if p.aborting || (len(p.queue) == 0 && p.closing) {
 			p.mu.Unlock()
 			return
 		}

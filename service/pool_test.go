@@ -9,10 +9,10 @@ import (
 )
 
 // TestPoolOverlapsBatches: a pool keeps two batches inside RunBatch at once
-// while a third waits in its queue. Abort leaves the running two alone; the
-// queued one resolves ErrClosed as soon as a drain loop is free, and done
-// closes only after both in-flight batches have returned, with no goroutine
-// of the pool left behind.
+// while a third waits in its queue. Abort leaves the running two alone and
+// resolves the queued one ErrClosed at once, before either in-flight batch
+// returns; done closes only after both have, with no goroutine of the pool
+// left behind.
 func TestPoolOverlapsBatches(t *testing.T) {
 	key := testKey(t)
 	b := &gatedBackend{stubBackend: stubBackend{name: "gated", weight: 1000, cap: 64},
@@ -46,12 +46,14 @@ func TestPoolOverlapsBatches(t *testing.T) {
 	}
 
 	p.abort()
-	b.step <- struct{}{} // one in-flight batch completes; its loop abandons the queue
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
+	// Both in-flight batches are still held at the gate: a stuck backend
+	// must not hold the queued batch's caller too.
 	if _, err := futs[poolInFlight].Wait(ctx); !errors.Is(err, ErrClosed) {
 		t.Fatalf("queued batch after abort: err = %v, want ErrClosed", err)
 	}
+	b.step <- struct{}{} // one in-flight batch completes
 	select {
 	case <-p.done:
 		t.Fatal("done closed while a batch was still inside RunBatch")

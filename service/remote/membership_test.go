@@ -86,7 +86,7 @@ func TestDynamicJoinSignLeave(t *testing.T) {
 	front, reg, frontTS := dynamicFront(t, key, "", RegistrarOptions{})
 
 	ctx := context.Background()
-	fut, err := front.SubmitSign([]byte("pre-join"))
+	fut, err := front.Submit(service.Request{Kind: service.KindSign, Msg: []byte("pre-join")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDynamicJoinSignLeave(t *testing.T) {
 	}
 
 	msgs := [][]byte{[]byte("joined-0"), []byte("joined-1"), []byte("joined-2")}
-	futs, err := front.SubmitSignBatch("", msgs)
+	futs, err := front.SubmitBatch(service.KindSign, "", msgs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestDynamicJoinSignLeave(t *testing.T) {
 	waitFor(t, 5*time.Second, "leaf retirement", func() bool {
 		return len(front.Shards()[0].Backends) == 0
 	})
-	fut, err = front.SubmitSign([]byte("post-leave"))
+	fut, err = front.Submit(service.Request{Kind: service.KindSign, Msg: []byte("post-leave")})
 	if err != nil {
 		t.Fatal(err)
 	}

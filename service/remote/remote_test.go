@@ -87,7 +87,7 @@ func TestFleetProxySignByteIdentical(t *testing.T) {
 	defer front.Close()
 
 	msgs := [][]byte{[]byte("proxy-0"), []byte("proxy-1"), []byte("proxy-2")}
-	futs, err := front.SubmitSignBatch("", msgs)
+	futs, err := front.SubmitBatch(service.KindSign, "", msgs, nil, nil)
 	if err != nil {
 		t.Fatalf("proxied batch sign: %v", err)
 	}
@@ -109,14 +109,14 @@ func TestFleetProxySignByteIdentical(t *testing.T) {
 	}
 
 	// Verify through the proxy too.
-	vf, err := front.SubmitVerify(msgs[0], sigs[0])
+	vf, err := front.Submit(service.Request{Kind: service.KindVerify, Msg: msgs[0], Sig: sigs[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res, err := vf.Wait(ctx); err != nil || !res.Valid {
 		t.Fatalf("proxied verify: %+v err=%v", res, err)
 	}
-	vf, err = front.SubmitVerify([]byte("tampered"), sigs[0])
+	vf, err = front.Submit(service.Request{Kind: service.KindVerify, Msg: []byte("tampered"), Sig: sigs[0]})
 	if err != nil {
 		t.Fatal(err)
 	}

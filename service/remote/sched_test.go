@@ -184,7 +184,7 @@ func TestSchedulingMetadataForwarded(t *testing.T) {
 	}
 }
 
-// TestSchedulingRoundTripThroughFront: the full path — SubmitSignOpts on a
+// TestSchedulingRoundTripThroughFront: the full path — Submit on a
 // front service whose only backend proxies to a leaf — lands the tenant name
 // verbatim and a sane remaining-milliseconds deadline on the leaf wire.
 func TestSchedulingRoundTripThroughFront(t *testing.T) {
@@ -207,10 +207,10 @@ func TestSchedulingRoundTripThroughFront(t *testing.T) {
 	defer front.Close()
 
 	const deadlineMs = 30_000
-	fut, err := front.SubmitSignOpts("", []byte("through the front"), service.SubmitOpts{
+	fut, err := front.Submit(service.Request{Kind: service.KindSign, Msg: []byte("through the front"), SubmitOpts: service.SubmitOpts{
 		Deadline: time.Now().Add(deadlineMs * time.Millisecond),
 		Tenant:   "acme",
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

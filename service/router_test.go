@@ -54,7 +54,7 @@ func TestShardedKeyDomains(t *testing.T) {
 	futs := make([]*Future, n)
 	for i := range msgs {
 		msgs[i] = []byte(fmt.Sprintf("sharded-%d", i))
-		fut, err := svc.SubmitSign(msgs[i])
+		fut, err := svc.Submit(Request{Kind: KindSign, Msg: msgs[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestShardedKeyDomains(t *testing.T) {
 				keyID string
 				want  bool
 			}{{res.KeyID, true}, {otherID, false}, {"", true}} {
-				fut, err := svc.SubmitVerifyKey(tc.keyID, msgs[i], res.Sig)
+				fut, err := svc.Submit(Request{Kind: KindVerify, KeyID: tc.keyID, Msg: msgs[i], Sig: res.Sig})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +107,7 @@ func TestShardedKeyDomains(t *testing.T) {
 		}
 	}
 
-	if _, err := svc.SubmitSignKey("no-such-key", []byte("x")); !errors.Is(err, ErrUnknownKey) {
+	if _, err := svc.Submit(Request{Kind: KindSign, KeyID: "no-such-key", Msg: []byte("x")}); !errors.Is(err, ErrUnknownKey) {
 		t.Fatalf("unknown key id error = %v, want ErrUnknownKey", err)
 	}
 
@@ -150,7 +150,7 @@ func TestWeightedDispatchPrefersFasterBackend(t *testing.T) {
 	n := 48
 	futs := make([]*Future, n)
 	for i := range futs {
-		fut, err := svc.SubmitSign([]byte(fmt.Sprintf("weighted-%d", i)))
+		fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("weighted-%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,11 +200,11 @@ func TestAdmissionRejectNewest(t *testing.T) {
 	defer svc.Close()
 
 	for i := 0; i < 4; i++ {
-		if _, err := svc.SubmitSign([]byte(fmt.Sprintf("fill-%d", i))); err != nil {
+		if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("fill-%d", i))}); err != nil {
 			t.Fatalf("submit %d under the limit: %v", i, err)
 		}
 	}
-	_, err := svc.SubmitSign([]byte("overflow"))
+	_, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("overflow")})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-limit submit = %v, want ErrOverloaded", err)
 	}
@@ -241,17 +241,17 @@ func TestSubmitSignBatchAllOrNothing(t *testing.T) {
 
 	// A batch that can never fit the cap is non-retryable, not a 429.
 	over := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d"), []byte("e")}
-	if _, err := svc.SubmitSignBatch("", over); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := svc.SubmitBatch(KindSign, "", over, nil, nil); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("5-message batch against limit 4 = %v, want ErrBatchTooLarge", err)
 	}
 
 	// A batch that fits the cap but not the current free space is a
 	// transient overload — and must not shed the occupant to make room.
-	occupant, err := svc.SubmitSign([]byte("occupant"))
+	occupant, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("occupant")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.SubmitSignBatch("", over[:4]); !errors.Is(err, ErrOverloaded) {
+	if _, err := svc.SubmitBatch(KindSign, "", over[:4], nil, nil); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("4-message batch with 1 slot taken = %v, want ErrOverloaded", err)
 	}
 	select {
@@ -265,7 +265,7 @@ func TestSubmitSignBatchAllOrNothing(t *testing.T) {
 			st.Shards[0].QueueDepth, st.ShedTotal)
 	}
 
-	futs, err := svc.SubmitSignBatch("", over[:3])
+	futs, err := svc.SubmitBatch(KindSign, "", over[:3], nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestSubmitSignBatchAllOrNothing(t *testing.T) {
 	// The queue is now full (occupant + 3 pinned members). A new single
 	// submit sheds the only unpinned request — the occupant — while the
 	// batch members survive.
-	extra, err := svc.SubmitSign([]byte("extra"))
+	extra, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("extra")})
 	if err != nil {
 		t.Fatalf("drop-oldest should shed the occupant for the newcomer: %v", err)
 	}
@@ -310,11 +310,11 @@ func TestAdmissionGlobalLimit(t *testing.T) {
 	defer svc.Close()
 
 	for i := 0; i < 2; i++ {
-		if _, err := svc.SubmitSign([]byte(fmt.Sprintf("g-%d", i))); err != nil {
+		if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("g-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := svc.SubmitSign([]byte("overflow"))
+	_, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("overflow")})
 	var over *OverloadError
 	if !errors.As(err, &over) || over.Scope != "global" {
 		t.Fatalf("global overflow = %v, want OverloadError{Scope: global}", err)
@@ -337,14 +337,14 @@ func TestAdmissionDropOldestDeadline(t *testing.T) {
 		WithMaxBatch(100), WithFlushDeadline(time.Hour))
 	defer svc.Close()
 
-	oldest, err := svc.SubmitSign([]byte("oldest"))
+	oldest, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("oldest")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.SubmitSign([]byte("middle")); err != nil {
+	if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("middle")}); err != nil {
 		t.Fatal(err)
 	}
-	newest, err := svc.SubmitSign([]byte("newest"))
+	newest, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("newest")})
 	if err != nil {
 		t.Fatalf("drop-oldest should admit the newcomer, got %v", err)
 	}
@@ -399,7 +399,7 @@ func TestCloseUnderLoadRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
-				fut, err := svc.SubmitSign([]byte(fmt.Sprintf("load-%d-%d", g, i)))
+				fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("load-%d-%d", g, i))})
 				if err != nil {
 					if errors.Is(err, ErrClosed) {
 						return
@@ -474,7 +474,7 @@ func TestDrainDeadlineAbandonsQueue(t *testing.T) {
 	const n = 12
 	futs := make([]*Future, n)
 	for i := range futs {
-		fut, err := svc.SubmitSign([]byte(fmt.Sprintf("drain-%d", i)))
+		fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("drain-%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}

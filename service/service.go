@@ -197,21 +197,8 @@ func WithSubBatch(n int) Option { return func(c *Config) { c.SubBatch = n } }
 // WithStreams sets the engine stream count.
 func WithStreams(n int) Option { return func(c *Config) { c.Streams = n } }
 
-// shardBatchers are one shard's per-kind coalescers.
-type shardBatchers struct {
-	sign, verify, keygen *batcher
-}
-
-func (sb *shardBatchers) byKind(k Kind) *batcher {
-	switch k {
-	case KindSign:
-		return sb.sign
-	case KindVerify:
-		return sb.verify
-	default:
-		return sb.keygen
-	}
-}
+// shardBatchers are one shard's coalescers, indexed by Kind.
+type shardBatchers [KindKeyGen + 1]*batcher
 
 // Service is the concurrent request-coalescing signing service.
 type Service struct {
@@ -306,11 +293,11 @@ func New(opts ...Option) (*Service, error) {
 				}
 			}
 		}
-		s.batchers = append(s.batchers, &shardBatchers{
-			sign:   newBatcher(KindSign, cfg.MaxBatch, cfg.FlushDeadline, flush),
-			verify: newBatcher(KindVerify, cfg.MaxBatch, cfg.FlushDeadline, flush),
-			keygen: newBatcher(KindKeyGen, cfg.MaxBatch, cfg.FlushDeadline, flush),
-		})
+		var sb shardBatchers
+		for k := range sb {
+			sb[k] = newBatcher(Kind(k), cfg.MaxBatch, cfg.FlushDeadline, flush)
+		}
+		s.batchers = append(s.batchers, &sb)
 	}
 	return s, nil
 }
@@ -396,11 +383,144 @@ type SubmitOpts struct {
 	Tenant string
 }
 
-// prepare stamps the request with opts' scheduling attributes.
-func (s *Service) prepare(r *request, opts SubmitOpts) *request {
-	r.deadline = opts.Deadline
-	r.tenant = s.tenants.get(opts.Tenant)
-	return r
+// Request is one sign, verify or keygen submission to Submit.
+type Request struct {
+	Kind Kind
+	// KeyID names the key domain; "" routes to the least-loaded shard,
+	// except that a verify on a multi-shard service then consults every
+	// shard (see Submit).
+	KeyID string
+	Msg   []byte           // KindSign, KindVerify
+	Sig   []byte           // KindVerify
+	Seed  *core.SeedTriple // KindKeyGen; nil draws fresh seeds from crypto/rand
+	SubmitOpts
+}
+
+// Submit queues one request for coalesced execution and returns its future
+// immediately. It copies req's buffers (a keygen seed's components too), so
+// the caller may reuse them as soon as Submit returns.
+//
+// A verify without a KeyID on a multi-shard service is valid when any
+// shard's key validates the pair. Each shard consulted spends an admission
+// slot and, with rate limiting configured, a tenant token; name the signing
+// key to check one domain and spend one. An invalid verdict is only
+// returned when every shard actually checked the pair; if a shard could not
+// be consulted (overload, shutdown) and none validated it, the future
+// resolves with that error instead of a false negative.
+func (s *Service) Submit(req Request) (*Future, error) {
+	req.Msg = append([]byte(nil), req.Msg...)
+	req.Sig = append([]byte(nil), req.Sig...)
+	if req.Kind == KindKeyGen {
+		seed, err := s.keygenSeed(req.Seed)
+		if err != nil {
+			return nil, err
+		}
+		req.Seed = seed
+	}
+	return s.submit(req)
+}
+
+// keygenSeed copies seed's components — the future resolves
+// asynchronously, and a caller may reuse (or zero) its seed buffers after
+// Submit returns — or draws a fresh triple from crypto/rand when seed is nil.
+func (s *Service) keygenSeed(seed *core.SeedTriple) (*core.SeedTriple, error) {
+	if seed != nil {
+		return &core.SeedTriple{
+			SKSeed: append([]byte(nil), seed.SKSeed...),
+			SKPRF:  append([]byte(nil), seed.SKPRF...),
+			PKSeed: append([]byte(nil), seed.PKSeed...),
+		}, nil
+	}
+	n := s.cfg.Params.N
+	buf := make([]byte, 3*n)
+	if _, err := rand.Read(buf); err != nil {
+		return nil, err
+	}
+	return &core.SeedTriple{SKSeed: buf[:n], SKPRF: buf[n : 2*n], PKSeed: buf[2*n:]}, nil
+}
+
+// submit is Submit without the copy: the queued requests alias req's
+// buffers, which the caller leaves untouched until the future resolves.
+func (s *Service) submit(req Request) (*Future, error) {
+	if req.Kind < KindSign || req.Kind > KindKeyGen {
+		return nil, fmt.Errorf("service: unknown request kind %d", req.Kind)
+	}
+	if req.Kind == KindVerify && req.KeyID == "" && len(s.router.shards) > 1 {
+		return s.verifyAnyShard(req)
+	}
+	sh, err := s.router.shardFor(req.KeyID)
+	if err != nil {
+		return nil, err
+	}
+	return s.submitTo(sh, req)
+}
+
+// verifyAnyShard submits the pair to every shard and resolves valid as soon
+// as one shard's key validates it; its verdict precedence is valid, then a
+// submit error, then a wait error, then invalid.
+func (s *Service) verifyAnyShard(req Request) (*Future, error) {
+	shards := s.router.shards
+	subs := make([]*Future, 0, len(shards))
+	var submitErr error
+	for _, sh := range shards {
+		fut, err := s.submitTo(sh, req) // the requests share req's buffers (never mutated)
+		if err != nil {
+			if submitErr == nil {
+				submitErr = err
+			}
+			continue
+		}
+		subs = append(subs, fut)
+	}
+	if len(subs) == 0 {
+		return nil, submitErr
+	}
+	master := newFuture()
+	go func() {
+		var lastRes Result
+		var waitErr error
+		sawVerdict := false
+		for _, fut := range subs {
+			<-fut.Done()
+			switch {
+			case fut.err == nil && fut.res.Valid:
+				master.resolve(fut.res, nil)
+				return
+			case fut.err == nil:
+				lastRes, sawVerdict = fut.res, true
+			case waitErr == nil:
+				waitErr = fut.err
+			}
+		}
+		switch {
+		case submitErr != nil:
+			master.resolve(Result{}, submitErr) // a shard was never consulted
+		case waitErr != nil:
+			master.resolve(Result{}, waitErr) // a consulted shard failed
+		case sawVerdict:
+			master.resolve(lastRes, nil) // every shard says invalid
+		default:
+			master.resolve(Result{}, ErrClosed)
+		}
+	}()
+	return master, nil
+}
+
+// submitTo admits req into the shard and hands it to the shard's coalescer.
+func (s *Service) submitTo(sh *shard, req Request) (*Future, error) {
+	r := &request{msg: req.Msg, sig: req.Sig, fut: newFuture(),
+		deadline: req.Deadline, tenant: s.tenants.get(req.Tenant)}
+	if req.Seed != nil {
+		r.seed = *req.Seed
+	}
+	if err := s.admit(sh, req.Kind, r); err != nil {
+		return nil, err
+	}
+	if err := s.batchers[sh.id][req.Kind].submit(r); err != nil {
+		r.unadmit()
+		return nil, err
+	}
+	return r.fut, nil
 }
 
 // admit charges one message against the tenant's token bucket and the
@@ -466,7 +586,7 @@ func (s *Service) admit(sh *shard, kind Kind, r *request) error {
 // shard, resolving it with ErrOverloaded; its release refunds the slots the
 // caller is about to claim.
 func (s *Service) shedOne(sh *shard, kind Kind) bool {
-	old := s.batchers[sh.id].byKind(kind).evictNearestDeadline()
+	old := s.batchers[sh.id][kind].evictNearestDeadline()
 	if old == nil {
 		return false
 	}
@@ -478,83 +598,54 @@ func (s *Service) shedOne(sh *shard, kind Kind) bool {
 	return true
 }
 
-// submitTo admits r into the shard and hands it to the shard's coalescer.
-func (s *Service) submitTo(sh *shard, kind Kind, r *request) error {
-	if err := s.admit(sh, kind, r); err != nil {
-		return err
-	}
-	if err := s.batchers[sh.id].byKind(kind).submit(r); err != nil {
-		r.release()
-		r.release = nil
-		// Undo the tenant accounting admit charged: the request was never
-		// queued, so resolve (which would drain it) will not run.
-		r.tenant.queued.Add(-1)
-		r.tenant.admitted.Add(-1)
-		if r.tenant.bucket != nil {
-			r.tenant.bucket.refund(1)
+// SubmitBatch queues a set of sign or verify members under one key domain
+// ("" routes to the least-loaded shard) and returns one future per member.
+// A sign batch takes msgs and a nil sigs; a verify batch takes sigs
+// parallel to msgs. It copies the caller's buffers.
+//
+// Admission is all-or-nothing: either every member is admitted or none is
+// and ErrOverloaded is returned, so a rejected batch does no work and a
+// retry after Retry-After is cheap. A batch that could never fit the
+// admission caps even on an idle service fails with ErrBatchTooLarge
+// instead (retrying cannot help; split it). Admitted members are exempt
+// from drop-oldest-deadline shedding, so competing traffic cannot waste the
+// batch by evicting one of them, and keeping verify pairs together lets the
+// backend lane-batch their hash work across signatures.
+//
+// opts is nil (all defaults) or exactly one entry per member. Tenant
+// charging is grouped and all-or-nothing like the slot admission; a member
+// count above its tenant's burst can never fit and fails ErrBatchTooLarge.
+// Per-member deadlines do not pre-reject the batch (all-or-nothing would
+// reject every member for one stale deadline); a member whose deadline
+// expires in the queue resolves ErrDeadlineExceeded individually before
+// any work is spent on it.
+func (s *Service) SubmitBatch(kind Kind, keyID string, msgs, sigs [][]byte, opts []SubmitOpts) ([]*Future, error) {
+	return s.submitBatch(kind, keyID, cloneAll(msgs), cloneAll(sigs), opts)
+}
+
+// SubmitVerifyBatchKey is SubmitBatch(KindVerify, keyID, msgs, sigs, nil).
+// It keeps its name because the benchmark harness (benchmark/ladder.go),
+// which builds unchanged against earlier trees too, calls it.
+func (s *Service) SubmitVerifyBatchKey(keyID string, msgs, sigs [][]byte) ([]*Future, error) {
+	return s.SubmitBatch(KindVerify, keyID, msgs, sigs, nil)
+}
+
+// submitBatch is SubmitBatch without the copy: the queued members alias
+// msgs and sigs, which the caller leaves untouched until every returned
+// future has resolved (the HTTP handlers meet this by tying their pooled
+// body buffers to the futures).
+func (s *Service) submitBatch(kind Kind, keyID string, msgs, sigs [][]byte, opts []SubmitOpts) ([]*Future, error) {
+	unit := "messages"
+	switch kind {
+	case KindSign:
+	case KindVerify:
+		if len(msgs) != len(sigs) {
+			return nil, fmt.Errorf("service: %d messages but %d signatures", len(msgs), len(sigs))
 		}
-		r.tenant = nil
-		return err
+		unit = "pairs"
+	default:
+		return nil, fmt.Errorf("service: %v requests cannot be submitted as a batch", kind)
 	}
-	return nil
-}
-
-// SubmitSign queues one message for coalesced signing on a weighted-routed
-// shard and returns its future immediately.
-func (s *Service) SubmitSign(msg []byte) (*Future, error) { return s.SubmitSignKey("", msg) }
-
-// SubmitSignKey queues one message for signing under a specific key domain
-// ("" routes to the least-loaded shard).
-func (s *Service) SubmitSignKey(keyID string, msg []byte) (*Future, error) {
-	return s.SubmitSignOpts(keyID, msg, SubmitOpts{})
-}
-
-// SubmitSignOpts is SubmitSignKey with scheduling attributes: a client
-// deadline (EDF flush ordering, admission pre-rejection) and a tenant the
-// work is charged to.
-func (s *Service) SubmitSignOpts(keyID string, msg []byte, opts SubmitOpts) (*Future, error) {
-	sh, err := s.router.shardFor(keyID)
-	if err != nil {
-		return nil, err
-	}
-	r := s.prepare(&request{msg: append([]byte(nil), msg...), fut: newFuture()}, opts)
-	if err := s.submitTo(sh, KindSign, r); err != nil {
-		return nil, err
-	}
-	return r.fut, nil
-}
-
-// SubmitSignBatch queues a set of messages for signing under one key
-// domain ("" routes to the least-loaded shard) with all-or-nothing
-// admission: either every message is admitted (one future each) or none is
-// and ErrOverloaded is returned — a rejected batch does no signing work. A
-// batch that could never fit the admission caps even on an idle service
-// fails with ErrBatchTooLarge instead (retrying cannot help; split it).
-// Admitted members are exempt from drop-oldest-deadline shedding, so
-// competing traffic cannot waste the batch by evicting one of them.
-func (s *Service) SubmitSignBatch(keyID string, msgs [][]byte) ([]*Future, error) {
-	return s.SubmitSignBatchOpts(keyID, msgs, nil)
-}
-
-// SubmitSignBatchOpts is SubmitSignBatch with per-member scheduling
-// attributes: opts is nil (all defaults) or exactly one entry per message.
-// Tenant charging is grouped and all-or-nothing like the slot admission —
-// either every member's tenant has tokens or the whole batch is rejected
-// with nothing charged; a member count above its tenant's burst can never
-// fit and fails ErrBatchTooLarge. Per-member deadlines do not pre-reject
-// the batch (all-or-nothing would reject every member for one stale
-// deadline); a member whose deadline expires in the queue resolves
-// ErrDeadlineExceeded individually before any signing work is spent on it.
-func (s *Service) SubmitSignBatchOpts(keyID string, msgs [][]byte, opts []SubmitOpts) ([]*Future, error) {
-	return s.submitSignBatch(keyID, msgs, opts, false)
-}
-
-// submitSignBatch is SubmitSignBatchOpts; with shared set the queued
-// requests alias msgs instead of copying them, and the caller keeps those
-// buffers untouched until every returned future has resolved (the
-// submitVerifyShared contract, which the HTTP handlers meet by tying their
-// pooled body buffers to the futures).
-func (s *Service) submitSignBatch(keyID string, msgs [][]byte, opts []SubmitOpts, shared bool) ([]*Future, error) {
 	sh, err := s.router.shardFor(keyID)
 	if err != nil {
 		return nil, err
@@ -562,25 +653,23 @@ func (s *Service) submitSignBatch(keyID string, msgs [][]byte, opts []SubmitOpts
 	if len(msgs) == 0 {
 		return nil, nil
 	}
-	members, undoBatch, err := s.admitBatch(sh, len(msgs), opts, "messages")
+	members, err := s.admitBatch(sh, len(msgs), opts, unit)
 	if err != nil {
 		return nil, err
 	}
 	futs := make([]*Future, 0, len(msgs))
-	b := s.batchers[sh.id].byKind(KindSign)
-	for i, msg := range msgs {
-		r := members[i]
-		r.msg = msg
-		if !shared {
-			r.msg = append([]byte(nil), msg...)
+	b := s.batchers[sh.id][kind]
+	for i, r := range members {
+		r.msg = msgs[i]
+		if kind == KindVerify {
+			r.sig = sigs[i]
 		}
 		if err := b.submit(r); err != nil {
-			// Closed mid-batch: refund the slots and tenant accounting of the
-			// never-submitted tail; already-submitted futures resolve through
-			// the drain.
-			r.release = nil
-			r.tenant = nil
-			undoBatch(i)
+			// Closed mid-batch: refund the never-submitted tail;
+			// already-submitted futures resolve through the drain.
+			for _, m := range members[i:] {
+				m.unadmit()
+			}
 			return nil, err
 		}
 		futs = append(futs, r.fut)
@@ -588,21 +677,33 @@ func (s *Service) submitSignBatch(keyID string, msgs [][]byte, opts []SubmitOpts
 	return futs, nil
 }
 
+// cloneAll copies every buffer of bufs (nil stays nil).
+func cloneAll(bufs [][]byte) [][]byte {
+	if bufs == nil {
+		return nil
+	}
+	out := make([][]byte, len(bufs))
+	for i, b := range bufs {
+		out[i] = append([]byte(nil), b...)
+	}
+	return out
+}
+
 // admitBatch performs all-or-nothing admission of an n-member batch into
 // the shard: the capacity-fit check, grouped per-tenant token charging and
 // the global+shard gate acquisition. On success it returns one prepared
 // pinned request per member (deadline/tenant/release stamped; msg/sig left
-// for the caller) plus an undo hook that refunds members [from, n) after a
-// mid-submit failure. On rejection nothing stays charged.
-func (s *Service) admitBatch(sh *shard, n int, opts []SubmitOpts, unit string) ([]*request, func(from int), error) {
+// for the caller; unadmit refunds a member that is never queued). On
+// rejection nothing stays charged.
+func (s *Service) admitBatch(sh *shard, n int, opts []SubmitOpts, unit string) ([]*request, error) {
 	if opts != nil && len(opts) != n {
-		return nil, nil, fmt.Errorf("service: %d %s but %d submit options", n, unit, len(opts))
+		return nil, fmt.Errorf("service: %d %s but %d submit options", n, unit, len(opts))
 	}
 	rt := s.router
 	k := int64(n)
 	shardCap, globalCap := sh.gate.cap(), rt.global.cap()
 	if (shardCap > 0 && k > shardCap) || (globalCap > 0 && k > globalCap) {
-		return nil, nil, fmt.Errorf("%w: %d %s against caps shard=%d global=%d",
+		return nil, fmt.Errorf("%w: %d %s against caps shard=%d global=%d",
 			ErrBatchTooLarge, k, unit, shardCap, globalCap)
 	}
 
@@ -630,13 +731,13 @@ func (s *Service) admitBatch(sh *shard, n int, opts []SubmitOpts, unit string) (
 	now := time.Now()
 	for j, t := range states {
 		if t.bucket != nil && float64(counts[j]) > t.bucket.burst {
-			return nil, nil, fmt.Errorf("%w: %d %s against tenant %q burst %d",
+			return nil, fmt.Errorf("%w: %d %s against tenant %q burst %d",
 				ErrBatchTooLarge, counts[j], unit, t.name, int(t.bucket.burst))
 		}
 	}
 	if t, wait := chargeCounts(states, counts, now); t != nil {
 		t.rejectedRate.Add(1)
-		return nil, nil, &OverloadError{Scope: "tenant", Tenant: t.name, RetryAfter: wait}
+		return nil, &OverloadError{Scope: "tenant", Tenant: t.name, RetryAfter: wait}
 	}
 	if !rt.global.tryAcquire(k) {
 		refundCounts(states, counts)
@@ -644,7 +745,7 @@ func (s *Service) admitBatch(sh *shard, n int, opts []SubmitOpts, unit string) (
 		for _, t := range states {
 			t.rejectedOverload.Add(1)
 		}
-		return nil, nil, &OverloadError{Scope: "global", RetryAfter: rt.globalRetryAfter()}
+		return nil, &OverloadError{Scope: "global", RetryAfter: rt.globalRetryAfter()}
 	}
 	if !sh.gate.tryAcquire(k) {
 		rt.global.release(k)
@@ -653,7 +754,7 @@ func (s *Service) admitBatch(sh *shard, n int, opts []SubmitOpts, unit string) (
 		for _, t := range states {
 			t.rejectedOverload.Add(1)
 		}
-		return nil, nil, &OverloadError{Scope: "shard", RetryAfter: sh.retryAfter()}
+		return nil, &OverloadError{Scope: "shard", RetryAfter: sh.retryAfter()}
 	}
 
 	release := func() {
@@ -671,250 +772,34 @@ func (s *Service) admitBatch(sh *shard, n int, opts []SubmitOpts, unit string) (
 		}
 		members[i] = r
 	}
-	undo := func(from int) {
-		for j := from; j < n; j++ {
-			release()
-			t := perMember[j]
-			t.queued.Add(-1)
-			t.admitted.Add(-1)
-			if t.bucket != nil {
-				t.bucket.refund(1)
-			}
-		}
-	}
-	return members, undo, nil
-}
-
-// SubmitVerify queues one (message, signature) pair for coalesced
-// verification. With a single shard the pair checks against its key; with
-// several shards the verdict is valid when any shard's key validates it —
-// pass the signing key ID to SubmitVerifyKey to check one domain (and spend
-// one admission slot instead of one per shard). An invalid verdict is only
-// returned when every shard actually checked the pair; if any shard could
-// not be consulted (overload, shutdown) and no shard validated it, the
-// future resolves with that error instead of a false negative.
-func (s *Service) SubmitVerify(msg, sig []byte) (*Future, error) {
-	return s.SubmitVerifyOpts(msg, sig, SubmitOpts{})
-}
-
-// SubmitVerifyOpts is SubmitVerify with scheduling attributes. The
-// multi-shard fan-out admits one request per shard consulted, so a tenant
-// with rate limiting configured is charged one token per shard — name the
-// key domain via SubmitVerifyKeyOpts to spend exactly one.
-func (s *Service) SubmitVerifyOpts(msg, sig []byte, opts SubmitOpts) (*Future, error) {
-	shards := s.router.shards
-	// Copy once; the per-shard requests share the buffers (never mutated).
-	msg = append([]byte(nil), msg...)
-	sig = append([]byte(nil), sig...)
-	if len(shards) == 1 {
-		return s.submitVerifyShared(shards[0], msg, sig, opts)
-	}
-	subs := make([]*Future, 0, len(shards))
-	var submitErr error
-	for _, sh := range shards {
-		fut, err := s.submitVerifyShared(sh, msg, sig, opts)
-		if err != nil {
-			if submitErr == nil {
-				submitErr = err
-			}
-			continue
-		}
-		subs = append(subs, fut)
-	}
-	if len(subs) == 0 {
-		return nil, submitErr
-	}
-	master := newFuture()
-	go func() {
-		var lastRes Result
-		var waitErr error
-		sawVerdict := false
-		for _, fut := range subs {
-			<-fut.Done()
-			switch {
-			case fut.err == nil && fut.res.Valid:
-				master.resolve(fut.res, nil)
-				return
-			case fut.err == nil:
-				lastRes, sawVerdict = fut.res, true
-			case waitErr == nil:
-				waitErr = fut.err
-			}
-		}
-		switch {
-		case submitErr != nil:
-			master.resolve(Result{}, submitErr) // a shard was never consulted
-		case waitErr != nil:
-			master.resolve(Result{}, waitErr) // a consulted shard failed
-		case sawVerdict:
-			master.resolve(lastRes, nil) // every shard says invalid
-		default:
-			master.resolve(Result{}, ErrClosed)
-		}
-	}()
-	return master, nil
-}
-
-// SubmitVerifyKey queues one (message, signature) pair for verification
-// against a specific key domain ("" falls back to SubmitVerify semantics).
-func (s *Service) SubmitVerifyKey(keyID string, msg, sig []byte) (*Future, error) {
-	return s.SubmitVerifyKeyOpts(keyID, msg, sig, SubmitOpts{})
-}
-
-// SubmitVerifyKeyOpts is SubmitVerifyKey with scheduling attributes.
-func (s *Service) SubmitVerifyKeyOpts(keyID string, msg, sig []byte, opts SubmitOpts) (*Future, error) {
-	if keyID == "" {
-		return s.SubmitVerifyOpts(msg, sig, opts)
-	}
-	sh, err := s.router.shardFor(keyID)
-	if err != nil {
-		return nil, err
-	}
-	return s.submitVerifyShared(sh,
-		append([]byte(nil), msg...), append([]byte(nil), sig...), opts)
-}
-
-// SubmitVerifyBatchKey queues a set of (message, signature) pairs for
-// verification against one key domain ("" routes to the least-loaded
-// shard) with the same all-or-nothing admission as SubmitSignBatch: either
-// every pair is admitted (one future each) or none is and ErrOverloaded is
-// returned — a rejected batch does no verification work and a retry after
-// Retry-After is cheap. A batch that could never fit the admission caps
-// fails with ErrBatchTooLarge (split it). Admitted members are pinned
-// against drop-oldest-deadline shedding. Keeping the pairs together also
-// lets the backend lane-batch their hash work across signatures.
-func (s *Service) SubmitVerifyBatchKey(keyID string, msgs, sigs [][]byte) ([]*Future, error) {
-	return s.SubmitVerifyBatchKeyOpts(keyID, msgs, sigs, nil)
-}
-
-// SubmitVerifyBatchKeyOpts is SubmitVerifyBatchKey with per-member
-// scheduling attributes (nil, or one entry per pair), with the same
-// all-or-nothing tenant charging and per-member deadline semantics as
-// SubmitSignBatchOpts.
-func (s *Service) SubmitVerifyBatchKeyOpts(keyID string, msgs, sigs [][]byte, opts []SubmitOpts) ([]*Future, error) {
-	return s.submitVerifyBatch(keyID, msgs, sigs, opts, false)
-}
-
-// submitVerifyBatch is SubmitVerifyBatchKeyOpts with submitSignBatch's
-// shared switch.
-func (s *Service) submitVerifyBatch(keyID string, msgs, sigs [][]byte, opts []SubmitOpts, shared bool) ([]*Future, error) {
-	if len(msgs) != len(sigs) {
-		return nil, fmt.Errorf("service: %d messages but %d signatures", len(msgs), len(sigs))
-	}
-	sh, err := s.router.shardFor(keyID)
-	if err != nil {
-		return nil, err
-	}
-	if len(msgs) == 0 {
-		return nil, nil
-	}
-	members, undoBatch, err := s.admitBatch(sh, len(msgs), opts, "pairs")
-	if err != nil {
-		return nil, err
-	}
-	futs := make([]*Future, 0, len(msgs))
-	b := s.batchers[sh.id].byKind(KindVerify)
-	for i := range msgs {
-		r := members[i]
-		r.msg, r.sig = msgs[i], sigs[i]
-		if !shared {
-			r.msg = append([]byte(nil), msgs[i]...)
-			r.sig = append([]byte(nil), sigs[i]...)
-		}
-		if err := b.submit(r); err != nil {
-			// Closed mid-batch: refund the slots and tenant accounting of the
-			// never-submitted tail; already-submitted futures resolve through
-			// the drain.
-			r.release = nil
-			r.tenant = nil
-			undoBatch(i)
-			return nil, err
-		}
-		futs = append(futs, r.fut)
-	}
-	return futs, nil
-}
-
-// submitVerifyShared submits without copying: the caller guarantees the
-// buffers stay untouched until the future resolves.
-func (s *Service) submitVerifyShared(sh *shard, msg, sig []byte, opts SubmitOpts) (*Future, error) {
-	r := s.prepare(&request{msg: msg, sig: sig, fut: newFuture()}, opts)
-	if err := s.submitTo(sh, KindVerify, r); err != nil {
-		return nil, err
-	}
-	return r.fut, nil
-}
-
-// SubmitKeyGen queues one key derivation on the least-loaded shard (key
-// generation is independent of the shard's signing key). With a nil seed
-// triple, fresh seeds are drawn from crypto/rand.
-func (s *Service) SubmitKeyGen(seed *core.SeedTriple) (*Future, error) {
-	return s.SubmitKeyGenOpts(seed, SubmitOpts{})
-}
-
-// SubmitKeyGenOpts is SubmitKeyGen with scheduling attributes.
-func (s *Service) SubmitKeyGenOpts(seed *core.SeedTriple, opts SubmitOpts) (*Future, error) {
-	var tr core.SeedTriple
-	if seed != nil {
-		// Copy the components: the future resolves asynchronously, and a
-		// caller may reuse (or zero) its seed buffers after Submit returns.
-		tr = core.SeedTriple{
-			SKSeed: append([]byte(nil), seed.SKSeed...),
-			SKPRF:  append([]byte(nil), seed.SKPRF...),
-			PKSeed: append([]byte(nil), seed.PKSeed...),
-		}
-	} else {
-		n := s.cfg.Params.N
-		buf := make([]byte, 3*n)
-		if _, err := rand.Read(buf); err != nil {
-			return nil, err
-		}
-		tr = core.SeedTriple{SKSeed: buf[:n], SKPRF: buf[n : 2*n], PKSeed: buf[2*n:]}
-	}
-	r := s.prepare(&request{seed: tr, fut: newFuture()}, opts)
-	if err := s.submitTo(s.router.route(), KindKeyGen, r); err != nil {
-		return nil, err
-	}
-	return r.fut, nil
+	return members, nil
 }
 
 // Sign submits msg and waits for the coalesced signature.
 func (s *Service) Sign(ctx context.Context, msg []byte) ([]byte, error) {
-	fut, err := s.SubmitSign(msg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := fut.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return res.Sig, nil
+	res, err := s.do(ctx, Request{Kind: KindSign, Msg: msg})
+	return res.Sig, err
 }
 
 // Verify submits (msg, sig) and waits for the verdict.
 func (s *Service) Verify(ctx context.Context, msg, sig []byte) (bool, error) {
-	fut, err := s.SubmitVerify(msg, sig)
-	if err != nil {
-		return false, err
-	}
-	res, err := fut.Wait(ctx)
-	if err != nil {
-		return false, err
-	}
-	return res.Valid, nil
+	res, err := s.do(ctx, Request{Kind: KindVerify, Msg: msg, Sig: sig})
+	return res.Valid, err
 }
 
 // KeyGen derives one fresh key pair on the fleet.
 func (s *Service) KeyGen(ctx context.Context) (*PrivateKey, error) {
-	fut, err := s.SubmitKeyGen(nil)
+	res, err := s.do(ctx, Request{Kind: KindKeyGen})
+	return res.Key, err
+}
+
+// do submits req and waits for its result (the zero Result on error).
+func (s *Service) do(ctx context.Context, req Request) (Result, error) {
+	fut, err := s.Submit(req)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	res, err := fut.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return res.Key, nil
+	return fut.Wait(ctx)
 }
 
 // Close flushes pending requests, drains the router and waits for every
@@ -923,9 +808,9 @@ func (s *Service) KeyGen(ctx context.Context) (*PrivateKey, error) {
 // ErrClosed). Submits after Close return ErrClosed.
 func (s *Service) Close() error {
 	for _, sb := range s.batchers {
-		sb.sign.close()
-		sb.verify.close()
-		sb.keygen.close()
+		for _, b := range sb {
+			b.close()
+		}
 	}
 	// Batches flushed by close are already queued; the router drains them
 	// before its pools exit.

@@ -78,7 +78,7 @@ func TestFleetCoalescedSignaturesIdentical(t *testing.T) {
 	futs := make([]*Future, n)
 	for i := range msgs {
 		msgs[i] = []byte(fmt.Sprintf("coalesce-%d", i))
-		fut, err := svc.SubmitSign(msgs[i])
+		fut, err := svc.Submit(Request{Kind: KindSign, Msg: msgs[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestFleetModeledSpeedup(t *testing.T) {
 
 	futs := make([]*Future, n)
 	for i := range futs {
-		fut, err := svc.SubmitSign([]byte(fmt.Sprintf("speedup-%d", i)))
+		fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("speedup-%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,12 +188,12 @@ func TestServicePerMessageErrors(t *testing.T) {
 	// One empty message rides with three good ones in a single batch; the
 	// empty one must fail alone.
 	futs := make([]*Future, 0, 4)
-	empty, err := svc.SubmitSign(nil)
+	empty, err := svc.Submit(Request{Kind: KindSign})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		fut, err := svc.SubmitSign([]byte(fmt.Sprintf("good-%d", i)))
+		fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("good-%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,13 +221,13 @@ func TestServicePerMessageErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := svc.SubmitVerify(msg, []byte("short"))
+	bad, err := svc.Submit(Request{Kind: KindVerify, Msg: msg, Sig: []byte("short")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := make([]*Future, 0, 3)
 	for i := 0; i < 3; i++ {
-		fut, err := svc.SubmitVerify(msg, sig)
+		fut, err := svc.Submit(Request{Kind: KindVerify, Msg: msg, Sig: sig})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestServiceVerifyAndKeyGen(t *testing.T) {
 		SKPRF:  bytes.Repeat([]byte{2}, p.N),
 		PKSeed: bytes.Repeat([]byte{3}, p.N),
 	}
-	fut, err := svc.SubmitKeyGen(&seed)
+	fut, err := svc.Submit(Request{Kind: KindKeyGen, Seed: &seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +294,11 @@ func TestServiceVerifyAndKeyGen(t *testing.T) {
 
 	// A malformed seed triple fails alone; batch-mates still derive.
 	badSeed := core.SeedTriple{SKSeed: []byte("short"), SKPRF: seed.SKPRF, PKSeed: seed.PKSeed}
-	badFut, err := svc.SubmitKeyGen(&badSeed)
+	badFut, err := svc.Submit(Request{Kind: KindKeyGen, Seed: &badSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodFut, err := svc.SubmitKeyGen(&seed)
+	goodFut, err := svc.Submit(Request{Kind: KindKeyGen, Seed: &seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestServiceCloseDrains(t *testing.T) {
 	svc := newTestService(t, WithFlushDeadline(time.Hour)) // only Close can flush
 	futs := make([]*Future, 0, 5)
 	for i := 0; i < 5; i++ {
-		fut, err := svc.SubmitSign([]byte(fmt.Sprintf("drain-%d", i)))
+		fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("drain-%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,13 +341,52 @@ func TestServiceCloseDrains(t *testing.T) {
 			t.Fatalf("drained future %d has no signature", i)
 		}
 	}
-	if _, err := svc.SubmitSign([]byte("late")); !errors.Is(err, ErrClosed) {
+	if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("late")}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close = %v, want ErrClosed", err)
 	}
-	if _, err := svc.SubmitVerify([]byte("late"), nil); !errors.Is(err, ErrClosed) {
+	if _, err := svc.Submit(Request{Kind: KindVerify, Msg: []byte("late")}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("verify after Close = %v, want ErrClosed", err)
 	}
-	if _, err := svc.SubmitKeyGen(nil); !errors.Is(err, ErrClosed) {
+	if _, err := svc.Submit(Request{Kind: KindKeyGen}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("keygen after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestSubmitCopiesCallerBuffers: Submit and SubmitBatch copy what they are
+// given, so a caller overwriting its buffers right after the call changes
+// nothing the service checks; a kind an entry does not serve is an error,
+// not a queued request.
+func TestSubmitCopiesCallerBuffers(t *testing.T) {
+	svc := newTestService(t)
+	defer svc.Close()
+
+	msg := []byte("copied at submit")
+	sig, err := spx.Sign(svc.cfg.Key, msg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, sigs := [][]byte{bytes.Clone(msg)}, [][]byte{bytes.Clone(sig)}
+	one, err := svc.Submit(Request{Kind: KindVerify, Msg: msg, Sig: sig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := svc.SubmitBatch(KindVerify, "", msgs, sigs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{msg, sig, msgs[0], sigs[0]} {
+		b[0] ^= 0xff
+	}
+	for i, fut := range append(batch, one) {
+		if res, err := fut.Wait(context.Background()); err != nil || !res.Valid {
+			t.Fatalf("verify %d after the caller overwrote its buffers: valid=%v err=%v", i, res.Valid, err)
+		}
+	}
+
+	if _, err := svc.Submit(Request{Kind: KindKeyGen + 1}); err == nil {
+		t.Fatal("Submit accepted an unknown kind")
+	}
+	if _, err := svc.SubmitBatch(KindKeyGen, "", [][]byte{msg}, nil, nil); err == nil {
+		t.Fatal("SubmitBatch accepted a keygen batch")
 	}
 }

@@ -234,7 +234,7 @@ func (s *Service) Stats() Stats {
 	st := Stats{
 		Params:           s.cfg.Params.Name,
 		MaxBatch:         s.cfg.MaxBatch,
-		DeadlineM:        s.batchers[0].sign.deadline.String(),
+		DeadlineM:        s.batchers[0][KindSign].deadline.String(),
 		ShedPolicy:       s.cfg.ShedPolicy.String(),
 		GlobalQueueDepth: s.router.global.depth(),
 		GlobalQueueLimit: s.router.global.cap(),
@@ -244,7 +244,9 @@ func (s *Service) Stats() Stats {
 		Tenants:          s.tenants.snapshot(),
 	}
 	for _, sb := range s.batchers {
-		st.PendingRequests += sb.sign.depth() + sb.verify.depth() + sb.keygen.depth()
+		for _, b := range sb {
+			st.PendingRequests += b.depth()
+		}
 	}
 	hist := make([]int64, len(histBuckets)+1)
 	var signMsgs int64

@@ -84,11 +84,11 @@ func TestTenantRateLimit429(t *testing.T) {
 	defer svc.Close()
 
 	for i := 0; i < 4; i++ {
-		if _, err := svc.SubmitSignOpts("", []byte(fmt.Sprintf("hog-%d", i)), SubmitOpts{Tenant: "hog"}); err != nil {
+		if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("hog-%d", i)), SubmitOpts: SubmitOpts{Tenant: "hog"}}); err != nil {
 			t.Fatalf("submit %d within burst: %v", i, err)
 		}
 	}
-	_, err := svc.SubmitSignOpts("", []byte("hog-over"), SubmitOpts{Tenant: "hog"})
+	_, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("hog-over"), SubmitOpts: SubmitOpts{Tenant: "hog"}})
 	var over *OverloadError
 	if !errors.As(err, &over) {
 		t.Fatalf("over-burst submit error = %v, want *OverloadError", err)
@@ -101,7 +101,7 @@ func TestTenantRateLimit429(t *testing.T) {
 	}
 
 	// The hog's exhaustion must not touch a neighbor's bucket.
-	if _, err := svc.SubmitSignOpts("", []byte("neighbor"), SubmitOpts{Tenant: "neighbor"}); err != nil {
+	if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("neighbor"), SubmitOpts: SubmitOpts{Tenant: "neighbor"}}); err != nil {
 		t.Fatalf("neighbor submit while hog is limited: %v", err)
 	}
 
@@ -112,11 +112,11 @@ func TestTenantRateLimit429(t *testing.T) {
 		msgs[i] = []byte(fmt.Sprintf("batch-%d", i))
 		opts[i] = SubmitOpts{Tenant: "fresh"}
 	}
-	if _, err := svc.SubmitSignBatchOpts("", msgs, opts); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := svc.SubmitBatch(KindSign, "", msgs, nil, opts); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("over-burst batch error = %v, want ErrBatchTooLarge", err)
 	}
 	// At the burst it fits.
-	if _, err := svc.SubmitSignBatchOpts("", msgs[:4], opts[:4]); err != nil {
+	if _, err := svc.SubmitBatch(KindSign, "", msgs[:4], nil, opts[:4]); err != nil {
 		t.Fatalf("burst-sized batch: %v", err)
 	}
 
@@ -135,10 +135,10 @@ func TestTenantBucketRefundOnGateReject(t *testing.T) {
 		WithTenantRate(0.001), WithTenantBurst(8), WithQueueLimit(1))
 	defer svc.Close()
 
-	if _, err := svc.SubmitSignOpts("", []byte("occupant"), SubmitOpts{Tenant: "r"}); err != nil {
+	if _, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("occupant"), SubmitOpts: SubmitOpts{Tenant: "r"}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := svc.SubmitSignOpts("", []byte("rejected"), SubmitOpts{Tenant: "r"})
+	_, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("rejected"), SubmitOpts: SubmitOpts{Tenant: "r"}})
 	var over *OverloadError
 	if !errors.As(err, &over) || over.Scope != "shard" {
 		t.Fatalf("gate rejection = %v, want shard-scope overload", err)
@@ -207,7 +207,7 @@ func runTenantLoad(t *testing.T, policy ShedPolicy, withHot bool) tenantLoadResu
 				default:
 				}
 				hotTried.Add(1)
-				if _, err := svc.SubmitSignOpts("", msg, SubmitOpts{Tenant: "hot"}); err != nil {
+				if _, err := svc.Submit(Request{Kind: KindSign, Msg: msg, SubmitOpts: SubmitOpts{Tenant: "hot"}}); err != nil {
 					if !errors.Is(err, ErrOverloaded) {
 						t.Errorf("hot submit: %v", err)
 						return
@@ -226,7 +226,7 @@ func runTenantLoad(t *testing.T, policy ShedPolicy, withHot bool) tenantLoadResu
 	defer cancel()
 	for i := 0; i < quietN; i++ {
 		start := time.Now()
-		fut, err := svc.SubmitSignOpts("", []byte(fmt.Sprintf("quiet-%d", i)), SubmitOpts{Tenant: "quiet"})
+		fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte(fmt.Sprintf("quiet-%d", i)), SubmitOpts: SubmitOpts{Tenant: "quiet"}})
 		if err == nil {
 			if _, werr := fut.Wait(ctx); werr == nil {
 				res.done++
@@ -309,7 +309,7 @@ func TestTenantStatsAccounting(t *testing.T) {
 		WithMaxBatch(1), WithTenantRate(100), WithTenantBurst(16))
 	defer svc.Close()
 
-	fut, err := svc.SubmitSignOpts("", []byte("accounted"), SubmitOpts{Tenant: "alice"})
+	fut, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("accounted"), SubmitOpts: SubmitOpts{Tenant: "alice"}})
 	if err != nil {
 		t.Fatal(err)
 	}

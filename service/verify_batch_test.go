@@ -40,7 +40,7 @@ func TestSubmitVerifyBatchAllOrNothing(t *testing.T) {
 
 	// A batch that fits the cap but not the current free space is a
 	// transient overload, and must not displace the occupant.
-	occupant, err := svc.SubmitSign([]byte("occupant"))
+	occupant, err := svc.Submit(Request{Kind: KindSign, Msg: []byte("occupant")})
 	if err != nil {
 		t.Fatal(err)
 	}
