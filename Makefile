@@ -20,18 +20,24 @@ vet:
 # membership, the wire codec's pooled request buffers, the fault injector,
 # simulated GPU engine, cpuref pools, the shared hypertree memo cache, and
 # the cross-signature batched verification primitives in
-# wots/fors/xmss/hypertree).
+# wots/fors/xmss/hypertree, and the SHA-256 kernels and chain engine under
+# them in sha2 and spx/hashes).
 test: vet
 	$(GO) test $$($(GO) list ./... | grep -v '/benchmark$$')
 	$(GO) test ./benchmark/
-	$(GO) test -race ./service/... ./internal/wire/ ./internal/faultinject/ ./internal/gpu/... ./internal/cpuref/... ./internal/spx/treecache/... ./internal/spx/ ./internal/spx/wots/ ./internal/spx/fors/ ./internal/spx/xmss/ ./internal/spx/hypertree/
+	$(GO) test -race ./service/... ./internal/wire/ ./internal/faultinject/ ./internal/gpu/... ./internal/cpuref/... ./internal/spx/treecache/... ./internal/spx/ ./internal/spx/wots/ ./internal/spx/fors/ ./internal/spx/xmss/ ./internal/spx/hypertree/ ./internal/sha2/ ./internal/spx/hashes/
 
 # fuzz-smoke runs every native fuzz target of the wire codec (the decoder of
-# each hot /v1/* body against encoding/json, and the encoders) for FUZZTIME.
+# each hot /v1/* body against encoding/json, and the encoders) and of the
+# WOTS+ chain engine (ChainLanes against per-chain F on every SHA backend),
+# each for FUZZTIME.
 FUZZTIME ?= 10s
+FUZZPKGS = ./internal/wire ./internal/spx/hashes
 fuzz-smoke:
-	@for f in $$($(GO) test ./internal/wire -list '^Fuzz' | grep '^Fuzz'); do \
-		$(GO) test ./internal/wire -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	@for p in $(FUZZPKGS); do \
+		for f in $$($(GO) test $$p -list '^Fuzz' | grep '^Fuzz'); do \
+			$(GO) test $$p -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) || exit 1; \
+		done; \
 	done
 
 # bench regenerates the modeled paper evaluation (every table and figure of

@@ -103,18 +103,18 @@ func main() {
 	// --- Open-loop submission: fire every request without waiting. ---
 	start := time.Now()
 	msgs := make([][]byte, *n)
-	futs := make([]*service.Future, *n)
+	futs := make([]*herosign.Future, *n)
 	for i := range msgs {
 		msgs[i] = []byte(fmt.Sprintf("service-demo message %d", i))
-		fut, err := svc.Submit(service.Request{Kind: service.KindSign, Msg: msgs[i]})
+		fut, err := svc.Submit(herosign.Request{Kind: herosign.KindSign, Msg: msgs[i]})
 		if err != nil {
 			log.Fatal(err)
 		}
 		futs[i] = fut
 	}
-	var keyFuts []*service.Future
+	var keyFuts []*herosign.Future
 	for i := 0; i < *keygens; i++ {
-		fut, err := svc.Submit(service.Request{Kind: service.KindKeyGen})
+		fut, err := svc.Submit(herosign.Request{Kind: herosign.KindKeyGen})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func main() {
 	// Verify a slice of the signatures back through the service, routed by
 	// key ID (with every 8th message tampered) — the mixed part of the
 	// workload — plus a few through the multi-shard fan-out path.
-	var verFuts []*service.Future
+	var verFuts []*herosign.Future
 	tampered := 0
 	for i := 0; i < *verifies && i < *n; i++ {
 		m := msgs[i]
@@ -150,7 +150,7 @@ func main() {
 			m = append([]byte("tampered "), m...)
 			tampered++
 		}
-		fut, err := svc.Submit(service.Request{Kind: service.KindVerify, KeyID: keyIDs[i], Msg: m, Sig: sigs[i]})
+		fut, err := svc.Submit(herosign.Request{Kind: herosign.KindVerify, KeyID: keyIDs[i], Msg: m, Sig: sigs[i]})
 		if err != nil {
 			log.Fatal(err)
 		}

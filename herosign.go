@@ -254,6 +254,27 @@ type Service = service.Service
 // ServiceOption configures NewService.
 type ServiceOption = service.Option
 
+// Request is one unit of work for Service.Submit: a message to sign, a
+// (message, signature) pair to verify, or a key to generate.
+type Request = service.Request
+
+// SubmitOpts carries a request's client deadline and tenant; a Request
+// embeds it and Service.SubmitBatch takes one per member.
+type SubmitOpts = service.SubmitOpts
+
+// Kind names the job type of a Request or a SubmitBatch call.
+type Kind = service.Kind
+
+// Job kinds.
+const (
+	KindSign   = service.KindSign
+	KindVerify = service.KindVerify
+	KindKeyGen = service.KindKeyGen
+)
+
+// Future is the pending result of a Submit or SubmitBatch member.
+type Future = service.Future
+
 // Backend is one executor in the service fleet: a simulated GPU device, the
 // real-CPU lane engine, or a whole remote herosign-serve instance (package
 // herosign/service/remote); a real-CUDA worker registers here instead of

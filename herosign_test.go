@@ -255,3 +255,46 @@ func TestServiceBackendAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceSubmitThroughPublicPackage drives Submit and SubmitBatch with
+// names from this package alone, as README's Quickstart does.
+func TestServiceSubmitThroughPublicPackage(t *testing.T) {
+	p := SPHINCSPlus128f
+	svc, err := NewService(
+		WithServiceParams(p),
+		WithServiceKey(apiKey(t, p)),
+		WithBackend(NewCPURefBackend(1)),
+		WithServiceFlushDeadline(2*time.Millisecond),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	ctx := context.Background()
+	msg := []byte("submitted through herosign")
+	var fut *Future
+	fut, err = svc.Submit(Request{Kind: KindSign, Msg: msg,
+		SubmitOpts: SubmitOpts{Deadline: time.Now().Add(time.Minute), Tenant: "acme"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fut.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kind Kind = KindVerify
+	futs, err := svc.SubmitBatch(kind, res.KeyID, [][]byte{msg, []byte("other")}, [][]byte{res.Sig, res.Sig}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{true, false} {
+		r, err := futs[i].Wait(ctx)
+		if err != nil || r.Valid != want {
+			t.Fatalf("verify member %d: valid=%v err=%v, want valid=%v", i, r.Valid, err, want)
+		}
+	}
+	if _, err := svc.Submit(Request{Kind: KindKeyGen}); err != nil {
+		t.Fatal(err)
+	}
+}

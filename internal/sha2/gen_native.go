@@ -1,11 +1,24 @@
 //go:build ignore
 
 // gen_native.go emits the amd64 SHA-NI compression kernels
-// (native_amd64.s): a single-block routine and a two-message interleaved
-// routine. SHA256RNDS2 carries a serial dependency chain of 32 instructions
-// per block, so a single message is latency-bound; interleaving two
-// independent messages lets the out-of-order core overlap the two chains,
-// which is what the lane-batch entry points (Compress256x4/x8) exploit.
+// (native_amd64.s), three of them:
+//
+//   - sha256ni absorbs one 64-byte block into one chaining state;
+//   - sha256ni2 absorbs one block into each of two independent states with
+//     the two round chains interleaved. SHA256RNDS2 carries a serial
+//     dependency chain of 32 instructions per block, so a single message is
+//     latency-bound; interleaving two independent messages lets the
+//     out-of-order core overlap the two chains, which is what the
+//     lane-batch entry points (Compress256x4/x8) exploit;
+//   - sha256niChain2 is the fused chain kernel: it advances two staged
+//     single-block messages a given number of steps, both interleaved as in
+//     sha256ni2. Each step compresses the block from one shared seed state
+//     (never stored back), writes the first n bytes of the big-endian digest
+//     into the block at valOff and increments the big-endian 32-bit word at
+//     ctrOff, which it keeps in a register between steps. The block is all
+//     it writes. This is one WOTS+ chain segment per message with no Go code
+//     between the compressions; the offsets and n are arguments, so the
+//     kernel knows nothing of the SPHINCS+ address layout.
 //
 // The round skeleton is the canonical Intel SHA extensions schedule
 // (alternating SHA256RNDS2 on the ABEF/CDGH register pair, with
@@ -67,46 +80,20 @@ func main() {
 	p("DATA nflip<>+8(SB)/8, $0x0c0d0e0f08090a0b")
 	p("GLOBL nflip<>(SB), RODATA|NOPTR, $16")
 
-	// Register map, shared by both kernels:
+	// Register map, shared by all three kernels:
 	//   X0 = round constant + schedule word fed to SHA256RNDS2 (implicit)
 	//   X7 = scratch for the schedule PALIGNR and the state shuffles
-	//   X8 = byte-flip mask during message load, scratch in the epilogue
+	//   X8 = byte-flip mask during message load (and, in the chain kernel,
+	//        digest store), scratch in the epilogue of the other two
 	// message A: states X1/X2, schedule X3-X6
 	// message B: states X9/X10, schedule X11-X14
 	a := msg{state: "DI", block: "SI", s0: "X1", s1: "X2", w: [4]string{"X3", "X4", "X5", "X6"}}
 	bm := msg{state: "R8", block: "R9", s0: "X9", s1: "X10", w: [4]string{"X11", "X12", "X13", "X14"}}
 
-	emitKernel := func(name, args string, frame int, msgs []msg) {
-		p("")
-		p("// func %s%s", name, args)
-		p("TEXT ·%s(SB), NOSPLIT, $0-%d", name, frame)
-		names := []string{"s0", "s1", "b0", "b1"}
-		if len(msgs) == 1 {
-			names = []string{"state", "", "block", ""}
-		}
-		off := 0
-		for i, m := range msgs {
-			p("\tMOVQ %s+%d(FP), %s", names[i], off, m.state)
-			off += 8
-		}
-		for i, m := range msgs {
-			p("\tMOVQ %s+%d(FP), %s", names[2+i], off, m.block)
-			off += 8
-		}
-		p("\tLEAQ k256n<>+0(SB), AX")
-		p("\tMOVOU nflip<>+0(SB), X8")
-		p("")
-		p("\t// Load h0..h7 and shuffle each state into the ABEF/CDGH pair")
-		p("\t// the SHA instructions operate on.")
-		for _, m := range msgs {
-			p("\tMOVOU (%s), %s", m.state, m.s0)
-			p("\tMOVOU 16(%s), %s", m.state, m.s1)
-			p("\tPSHUFD $0xb1, %s, %s", m.s0, m.s0)
-			p("\tPSHUFD $0x1b, %s, %s", m.s1, m.s1)
-			p("\tMOVO %s, X7", m.s0)
-			p("\tPALIGNR $0x08, %s, %s", m.s1, m.s0)
-			p("\tPBLENDW $0xf0, X7, %s", m.s1)
-		}
+	// emitRounds emits the 64 rounds of every message in msgs, interleaved
+	// group by group; the working states are live in s0/s1 and the block
+	// is read from memory through the block register.
+	emitRounds := func(msgs []msg) {
 		for j := 0; j < 16; j++ {
 			p("")
 			p("\t// Rounds %d-%d.", j*4, j*4+3)
@@ -135,32 +122,160 @@ func main() {
 				}
 			}
 		}
+	}
+
+	// toPair shuffles a state held as h0..h3 / h4..h7 into the ABEF/CDGH
+	// pair the SHA instructions operate on; fromPair is its inverse (X7
+	// scratch).
+	toPair := func(s0, s1, scratch string) {
+		p("\tPSHUFD $0xb1, %s, %s", s0, s0)
+		p("\tPSHUFD $0x1b, %s, %s", s1, s1)
+		p("\tMOVO %s, %s", s0, scratch)
+		p("\tPALIGNR $0x08, %s, %s", s1, s0)
+		p("\tPBLENDW $0xf0, %s, %s", scratch, s1)
+	}
+	fromPair := func(s0, s1 string) {
+		p("\tPSHUFD $0x1b, %s, %s", s0, s0)
+		p("\tPSHUFD $0xb1, %s, %s", s1, s1)
+		p("\tMOVO %s, X7", s0)
+		p("\tPBLENDW $0xf0, %s, %s", s1, s0)
+		p("\tPALIGNR $0x08, X7, %s", s1)
+	}
+
+	emitKernel := func(name, args string, frame int, msgs []msg) {
+		p("")
+		p("// func %s%s", name, args)
+		p("TEXT ·%s(SB), NOSPLIT, $0-%d", name, frame)
+		names := []string{"s0", "s1", "b0", "b1"}
+		if len(msgs) == 1 {
+			names = []string{"state", "", "block", ""}
+		}
+		off := 0
+		for i, m := range msgs {
+			p("\tMOVQ %s+%d(FP), %s", names[i], off, m.state)
+			off += 8
+		}
+		for i, m := range msgs {
+			p("\tMOVQ %s+%d(FP), %s", names[2+i], off, m.block)
+			off += 8
+		}
+		p("\tLEAQ k256n<>+0(SB), AX")
+		p("\tMOVOU nflip<>+0(SB), X8")
+		p("")
+		p("\t// Load h0..h7 and shuffle each state into the ABEF/CDGH pair")
+		p("\t// the SHA instructions operate on.")
+		for _, m := range msgs {
+			p("\tMOVOU (%s), %s", m.state, m.s0)
+			p("\tMOVOU 16(%s), %s", m.state, m.s1)
+			toPair(m.s0, m.s1, "X7")
+		}
+		emitRounds(msgs)
 		p("")
 		p("\t// Re-derive each initial ABEF/CDGH pair from memory, add it to")
 		p("\t// the working state, and store the result back in h0..h7 order.")
 		for _, m := range msgs {
 			p("\tMOVOU (%s), X0", m.state)
 			p("\tMOVOU 16(%s), X7", m.state)
-			p("\tPSHUFD $0xb1, X0, X0")
-			p("\tPSHUFD $0x1b, X7, X7")
-			p("\tMOVO X0, X8")
-			p("\tPALIGNR $0x08, X7, X0")
-			p("\tPBLENDW $0xf0, X8, X7")
+			toPair("X0", "X7", "X8")
 			p("\tPADDD X0, %s", m.s0)
 			p("\tPADDD X7, %s", m.s1)
-			p("\tPSHUFD $0x1b, %s, %s", m.s0, m.s0)
-			p("\tPSHUFD $0xb1, %s, %s", m.s1, m.s1)
-			p("\tMOVO %s, X7", m.s0)
-			p("\tPBLENDW $0xf0, %s, %s", m.s1, m.s0)
-			p("\tPALIGNR $0x08, X7, %s", m.s1)
+			fromPair(m.s0, m.s1)
 			p("\tMOVOU %s, (%s)", m.s0, m.state)
 			p("\tMOVOU %s, 16(%s)", m.s1, m.state)
 		}
 		p("\tRET")
 	}
 
+	// emitChainKernel emits sha256niChain2 over messages A and B. Extra
+	// registers: DI = seed, BX = valOff, DX = ctrOff, R12 = n, CX = steps
+	// left, R10/R11 = each block's hash word in host order, R13 = scratch.
+	// The seed's ABEF/CDGH pair is derived once and kept in the 32-byte
+	// frame; X8 stays the byte-flip mask for the whole call, since the
+	// epilogue takes the seed pair from the frame instead of re-deriving it.
+	emitChainKernel := func(msgs []msg) {
+		p("")
+		p("// func sha256niChain2(seed *State256, b0, b1 *[BlockSize256]byte, valOff, ctrOff, n, steps int)")
+		p("TEXT ·sha256niChain2(SB), NOSPLIT, $32-56")
+		p("\tMOVQ seed+0(FP), DI")
+		p("\tMOVQ b0+8(FP), %s", msgs[0].block)
+		p("\tMOVQ b1+16(FP), %s", msgs[1].block)
+		p("\tMOVQ valOff+24(FP), BX")
+		p("\tMOVQ ctrOff+32(FP), DX")
+		p("\tMOVQ n+40(FP), R12")
+		p("\tMOVQ steps+48(FP), CX")
+		p("\tTESTQ CX, CX")
+		p("\tJEQ done")
+		p("\tLEAQ k256n<>+0(SB), AX")
+		p("\tMOVOU nflip<>+0(SB), X8")
+		p("")
+		p("\t// The seed's ABEF/CDGH pair, once for every step of both messages.")
+		p("\tMOVOU (DI), X1")
+		p("\tMOVOU 16(DI), X2")
+		toPair("X1", "X2", "X7")
+		p("\tMOVOU X1, 0(SP)")
+		p("\tMOVOU X2, 16(SP)")
+		p("")
+		p("\t// Each block's hash word, resident in a register from here on.")
+		for i, m := range msgs {
+			r := []string{"R10", "R11"}[i]
+			p("\tMOVL (%s)(DX*1), %s", m.block, r)
+			p("\tBSWAPL %s", r)
+		}
+		p("")
+		p("loop:")
+		for _, m := range msgs {
+			p("\tMOVOU 0(SP), %s", m.s0)
+			p("\tMOVOU 16(SP), %s", m.s1)
+		}
+		emitRounds(msgs)
+		p("")
+		p("\t// Add the seed pair, return each state to h0..h7 order and flip it")
+		p("\t// to the big-endian digest bytes.")
+		for _, m := range msgs {
+			p("\tMOVOU 0(SP), X0")
+			p("\tMOVOU 16(SP), X7")
+			p("\tPADDD X0, %s", m.s0)
+			p("\tPADDD X7, %s", m.s1)
+			fromPair(m.s0, m.s1)
+			p("\tPSHUFB X8, %s", m.s0)
+			p("\tPSHUFB X8, %s", m.s1)
+		}
+		p("")
+		p("\t// Write the first n digest bytes over the value: 16, 24 or 32.")
+		for _, m := range msgs {
+			p("\tMOVOU %s, (%s)(BX*1)", m.s0, m.block)
+		}
+		p("\tCMPQ R12, $24")
+		p("\tJLT counters")
+		p("\tJEQ half")
+		for _, m := range msgs {
+			p("\tMOVOU %s, 16(%s)(BX*1)", m.s1, m.block)
+		}
+		p("\tJMP counters")
+		p("")
+		p("half:")
+		for _, m := range msgs {
+			p("\tMOVQ %s, 16(%s)(BX*1)", m.s1, m.block)
+		}
+		p("")
+		p("counters:")
+		for i, m := range msgs {
+			r := []string{"R10", "R11"}[i]
+			p("\tINCL %s", r)
+			p("\tMOVL %s, R13", r)
+			p("\tBSWAPL R13")
+			p("\tMOVL R13, (%s)(DX*1)", m.block)
+		}
+		p("\tDECQ CX")
+		p("\tJNZ loop")
+		p("")
+		p("done:")
+		p("\tRET")
+	}
+
 	emitKernel("sha256ni", "(state *State256, block *[BlockSize256]byte)", 16, []msg{a})
 	emitKernel("sha256ni2", "(s0, s1 *State256, b0, b1 *[BlockSize256]byte)", 32, []msg{a, bm})
+	emitChainKernel([]msg{a, bm})
 
 	p("")
 	p("// func cpuidLeaf(leaf, sub uint32) (eax, ebx, ecx, edx uint32)")

@@ -121,6 +121,39 @@ func PutDigest256(out []byte, s *State256) {
 	}
 }
 
+// Chain256x2 advances two staged single-block messages steps times each, the
+// inner loop of a WOTS+ chain. One step compresses the block from *seed
+// (seed is only read), writes the first n bytes (16, 24 or 32) of the
+// big-endian digest into the block at valOff, and increments the
+// big-endian 32-bit word at ctrOff, wrapping at 2^32. The value and the
+// word must lie inside the block and must not overlap. On the native
+// backend both messages run inside one fused SHA-NI kernel call, with no
+// Go code between compressions; elsewhere the portable scalar kernel runs
+// them one after the other.
+func Chain256x2(seed *State256, b0, b1 *[BlockSize256]byte, valOff, ctrOff, n, steps int) {
+	if n != 16 && n != 24 && n != 32 || valOff < 0 || valOff+n > BlockSize256 ||
+		ctrOff < 0 || ctrOff+4 > BlockSize256 || ctrOff < valOff+n && valOff < ctrOff+4 {
+		panic("sha2: Chain256x2 value or counter outside the block, or overlapping")
+	}
+	if native256 {
+		sha256niChain2(seed, b0, b1, valOff, ctrOff, n, steps)
+		return
+	}
+	chain256(seed, b0, valOff, ctrOff, n, steps)
+	chain256(seed, b1, valOff, ctrOff, n, steps)
+}
+
+// chain256 is the portable form of one message's Chain256x2.
+func chain256(seed *State256, block *[BlockSize256]byte, valOff, ctrOff, n, steps int) {
+	ctr := block[ctrOff : ctrOff+4]
+	for ; steps > 0; steps-- {
+		s := *seed
+		compress256(&s, block[:])
+		PutDigest256(block[valOff:valOff+n], &s)
+		binary.BigEndian.PutUint32(ctr, binary.BigEndian.Uint32(ctr)+1)
+	}
+}
+
 // --- accelerated backend -------------------------------------------------
 
 // accelStateSize is the size of crypto/sha256's marshaled state:

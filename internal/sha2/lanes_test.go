@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 )
 
@@ -170,6 +171,79 @@ func TestPutDigest256(t *testing.T) {
 		t.Fatalf("truncated PutDigest256 = %x", trunc)
 	}
 	_ = want
+}
+
+// refChain is the reference for one message of the fused chain kernel:
+// steps rounds of compress256 from seed, PutDigest256 of the first n bytes
+// over the value, and a big-endian increment of the hash word.
+func refChain(seed State256, blk [BlockSize256]byte, valOff, ctrOff, n, steps int) [BlockSize256]byte {
+	for s := 0; s < steps; s++ {
+		st := seed
+		compress256(&st, blk[:])
+		PutDigest256(blk[valOff:valOff+n], &st)
+		binary.BigEndian.PutUint32(blk[ctrOff:], binary.BigEndian.Uint32(blk[ctrOff:])+1)
+	}
+	return blk
+}
+
+// TestChain256x2MatchesCompressLoop is the differential test of the fused
+// chain kernel: on the native and the portable backend, for every n of
+// SPHINCS+, 0 to 2W steps (W = 16), three value/counter layouts and hash
+// words that carry into the next byte (0xff -> 0x100) or wrap 2^32 -> 0,
+// both blocks must equal the compress256 + PutDigest256 loop.
+func TestChain256x2MatchesCompressLoop(t *testing.T) {
+	states, blocks := randStatesBlocks(t, 3)
+	seed := states[0]
+	ctrs := [][2]uint32{{0, 1}, {0x000000ff, 0xfffffffe}, {0xfffffff0, 0x000000f0}, {0xffffffff, 0x0000ffff}}
+	for _, native := range []bool{true, false} {
+		prev := SetNative(native)
+		if Native() != native {
+			SetNative(prev)
+			t.Logf("native backend not selectable (no SHA-NI, or its self-check failed); checked the portable one only")
+			continue
+		}
+		for _, n := range []int{16, 24, 32} {
+			for _, lay := range [][2]int{{22, 18}, {0, 60}, {30, 2}} {
+				valOff, ctrOff := lay[0], lay[1]
+				for _, ctr := range ctrs {
+					for steps := 0; steps <= 32; steps++ {
+						b0, b1 := blocks[1], blocks[2]
+						binary.BigEndian.PutUint32(b0[ctrOff:], ctr[0])
+						binary.BigEndian.PutUint32(b1[ctrOff:], ctr[1])
+						want0 := refChain(seed, b0, valOff, ctrOff, n, steps)
+						want1 := refChain(seed, b1, valOff, ctrOff, n, steps)
+						s := seed
+						Chain256x2(&s, &b0, &b1, valOff, ctrOff, n, steps)
+						if b0 != want0 || b1 != want1 || s != seed {
+							t.Fatalf("native=%v n=%d layout=%v counters=%#x steps=%d: kernel differs from the compress loop",
+								native, n, lay, ctr, steps)
+						}
+					}
+				}
+			}
+		}
+		SetNative(prev)
+	}
+}
+
+// TestChain256x2RejectsBadLayout: a value or counter outside the block, an
+// overlap of the two, or an n other than 16/24/32 panics before any kernel
+// runs.
+func TestChain256x2RejectsBadLayout(t *testing.T) {
+	var seed State256
+	var b0, b1 [BlockSize256]byte
+	for _, c := range []struct{ valOff, ctrOff, n int }{
+		{40, 0, 32}, {0, 61, 16}, {-1, 40, 16}, {0, -1, 16}, {22, 18, 20}, {22, 36, 16}, {22, 20, 16},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("valOff=%d ctrOff=%d n=%d: no panic", c.valOff, c.ctrOff, c.n)
+				}
+			}()
+			Chain256x2(&seed, &b0, &b1, c.valOff, c.ctrOff, c.n, 1)
+		}()
+	}
 }
 
 // TestHasher256ZeroAlloc: the reusable hasher must not allocate per message

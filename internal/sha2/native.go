@@ -1,5 +1,7 @@
 package sha2
 
+import "encoding/binary"
+
 // Native SHA-NI backend selection.
 //
 // The third lane-engine backend (after the portable interleaved kernels and
@@ -62,6 +64,26 @@ func nativeSelfCheck() bool {
 		sha256ni2(&got[0], &got[1], &blocks[1], &blocks[0])
 		if got != want {
 			return false
+		}
+	}
+	// The fused chain kernel from a non-IV seed, for every n SPHINCS+ uses,
+	// across hash-word carries (0xff -> 0x100, 0xffffffff -> 0), in two
+	// layouts: the value after the counter (the SPHINCS+ F block: counter
+	// at 18, value at 22) and the counter after the value.
+	for _, n := range []int{16, 24, 32} {
+		for _, lay := range [][2]int{{22, 18}, {0, 60}} {
+			valOff, ctrOff := lay[0], lay[1]
+			wantB := blocks
+			for l, ctr := range []uint32{0x000000fe, 0xfffffffe} {
+				binary.BigEndian.PutUint32(wantB[l][ctrOff:], ctr)
+			}
+			gotB := wantB
+			chain256(&want[0], &wantB[0], valOff, ctrOff, n, 3)
+			chain256(&want[0], &wantB[1], valOff, ctrOff, n, 3)
+			sha256niChain2(&want[0], &gotB[0], &gotB[1], valOff, ctrOff, n, 3)
+			if gotB != wantB {
+				return false
+			}
 		}
 	}
 	nativeAvailable = true

@@ -6,13 +6,18 @@ package sha2
 //
 // sha256ni absorbs one 64-byte block into one chaining state; sha256ni2
 // absorbs one block into each of two independent states with the round
-// chains interleaved (SHA256RNDS2 is latency-bound on a single message).
+// chains interleaved (SHA256RNDS2 is latency-bound on a single message);
+// sha256niChain2 runs steps chain steps on two staged blocks, interleaved
+// the same way (see Chain256x2 for what one step does).
 
 //go:noescape
 func sha256ni(state *State256, block *[BlockSize256]byte)
 
 //go:noescape
 func sha256ni2(s0, s1 *State256, b0, b1 *[BlockSize256]byte)
+
+//go:noescape
+func sha256niChain2(seed *State256, b0, b1 *[BlockSize256]byte, valOff, ctrOff, n, steps int)
 
 func cpuidLeaf(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -17,3 +17,8 @@ func sha256ni2(s0, s1 *State256, b0, b1 *[BlockSize256]byte) {
 	compress256(s0, b0[:])
 	compress256(s1, b1[:])
 }
+
+func sha256niChain2(seed *State256, b0, b1 *[BlockSize256]byte, valOff, ctrOff, n, steps int) {
+	chain256(seed, b0, valOff, ctrOff, n, steps)
+	chain256(seed, b1, valOff, ctrOff, n, steps)
+}

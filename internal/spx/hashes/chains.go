@@ -33,8 +33,12 @@ const maxW = 256
 // ends stores the value once and is refilled at once from the chains not
 // yet started, longest remaining first, so no lane waits at a step barrier
 // and the drain is short; once none are left, the last live lane moves into
-// the freed slot so every pass compresses a dense prefix of lanes. Outputs
-// and the Counters charge equal those of the per-chain F calls.
+// the freed slot so every pass compresses a dense prefix of lanes. On the
+// native SHA-NI backend the lanes are two, and each pass is a whole chain
+// segment inside the fused kernel (sha2.Chain256x2): both staged chains
+// run until the shorter ends, with no Go code between compressions. The
+// stdlib backend walks each chain on its own. Outputs and the Counters
+// charge equal those of the per-chain F calls on every backend.
 func (c *Ctx) ChainLanes(vals []byte, starts, ends []uint32, tpls []address.Address, perTpl int) {
 	n := c.P.N
 	msgLen := address.CompressedSize + n
@@ -88,6 +92,50 @@ func (c *Ctx) ChainLanes(vals []byte, starts, ends []uint32, tpls []address.Addr
 		binary.BigEndian.PutUint32(blk[compHashOff:], pos[i])
 		copy(blk[address.CompressedSize:msgLen], vals[int(k)*n:])
 	}
+	if sha2.Native() {
+		// The fused SHA-NI kernel runs two chains per call, all their
+		// common steps inside the assembly. Lanes 0 and 1 hold the two
+		// longest remaining chains; each call runs until the shorter ends,
+		// and that lane is stored and refilled, longest first. The last
+		// chain runs alone: its partner is the spent block of the other
+		// lane, whose output nothing reads.
+		var live [2]bool
+		next := 0
+		for i := range live {
+			if next < len(order) {
+				stage(i, order[next])
+				next++
+				live[i] = true
+			}
+		}
+		for {
+			steps := uint32(maxW + 1)
+			for i := range live {
+				if live[i] {
+					steps = min(steps, end[i]-pos[i])
+				}
+			}
+			if steps > maxW {
+				return
+			}
+			sha2.Chain256x2(&c.seeded, &c.laneBlk[0], &c.laneBlk[1], address.CompressedSize, compHashOff, n, int(steps))
+			for i := range live {
+				if !live[i] {
+					continue
+				}
+				if pos[i] += steps; pos[i] < end[i] {
+					continue
+				}
+				k := int(chain[i])
+				copy(vals[k*n:(k+1)*n], c.laneBlk[i][address.CompressedSize:msgLen])
+				if live[i] = next < len(order); live[i] {
+					stage(i, order[next])
+					next++
+				}
+			}
+		}
+	}
+
 	next, active := 0, 0
 	for ; active < sha2.Lanes && next < len(order); active++ {
 		stage(active, order[next])

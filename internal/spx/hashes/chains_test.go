@@ -194,3 +194,62 @@ func TestChainLanesZeroAlloc(t *testing.T) {
 		restore()
 	}
 }
+
+// BenchmarkChainLanes runs the chain set of one 8-signature 128f
+// PKFromSigBatch call (8 * WOTSLen chains, random starts, all ending at
+// W-1) on each backend; ns/op / (8 * WOTSLen) is the cost per chain.
+func BenchmarkChainLanes(b *testing.B) {
+	p := params.SPHINCSPlus128f
+	rng := rand.New(rand.NewPCG(8, 9))
+	cc := newChainCase(rng, p, sha2.Lanes*p.WOTSLen, p.WOTSLen)
+	for k := range cc.starts {
+		cc.starts[k], cc.ends[k] = rng.Uint32N(uint32(p.W)), uint32(p.W-1)
+	}
+	for _, be := range backends {
+		b.Run(be.name, func(b *testing.B) {
+			restore := be.set()
+			defer restore()
+			ctx := testCtx(b, p)
+			vals := append([]byte(nil), cc.vals...)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctx.ChainLanes(vals, cc.starts, cc.ends, cc.tpls, cc.perTpl)
+			}
+		})
+	}
+}
+
+// FuzzChainLanes checks arbitrary chain sets against per-chain scalar F on
+// every backend: the input picks the parameter set, the chains per
+// template, and each chain's start and end step; the chain values and
+// templates derive from a seed.
+func FuzzChainLanes(f *testing.F) {
+	f.Add(uint8(0), uint8(35), uint64(1), []byte{0, 15, 3, 3, 15, 0, 7, 9})
+	f.Add(uint8(5), uint8(1), uint64(2), []byte{16, 16, 0, 16})
+	f.Add(uint8(2), uint8(8), uint64(3), make([]byte, 2*sha2.Lanes*3))
+	sets := params.AllSets()
+	f.Fuzz(func(t *testing.T, set, perTpl uint8, seed uint64, steps []byte) {
+		p := sets[int(set)%len(sets)]
+		count := min(len(steps)/2, 4*sha2.Lanes*p.WOTSLen)
+		if count == 0 {
+			return
+		}
+		cc := newChainCase(rand.New(rand.NewPCG(seed, 1)), p, count, 1+int(perTpl)%p.WOTSLen)
+		for k := range cc.starts {
+			a, b := uint32(steps[2*k])%uint32(p.W+1), uint32(steps[2*k+1])%uint32(p.W+1)
+			cc.starts[k], cc.ends[k] = a, b // a > b: a chain with nothing to do
+		}
+		for _, be := range backends {
+			restore := be.set()
+			base := testCtx(t, p)
+			var cWant, cGot Counters
+			want := scalarChains(base.Clone(&cWant), cc)
+			got := append([]byte(nil), cc.vals...)
+			base.Clone(&cGot).ChainLanes(got, cc.starts, cc.ends, cc.tpls, cc.perTpl)
+			restore()
+			if !bytes.Equal(got, want) || cGot != cWant {
+				t.Fatalf("%s %s: %d chains differ from scalar F (counters %+v, want %+v)", be.name, p.Name, count, cGot, cWant)
+			}
+		}
+	})
+}

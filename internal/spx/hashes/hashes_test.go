@@ -9,7 +9,7 @@ import (
 	"herosign/internal/spx/params"
 )
 
-func testCtx(t *testing.T, p *params.Params) *Ctx {
+func testCtx(t testing.TB, p *params.Params) *Ctx {
 	t.Helper()
 	pkSeed := make([]byte, p.N)
 	skSeed := make([]byte, p.N)

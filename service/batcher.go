@@ -193,43 +193,62 @@ func newBatcher(kind Kind, maxBatch int, deadline time.Duration, flush func(Kind
 	return &batcher{kind: kind, maxBatch: maxBatch, deadline: deadline, flush: flush}
 }
 
-// submit queues one request. The size threshold flushes inline (on the
-// caller's goroutine); the deadline flushes from a timer goroutine. A
-// request whose client deadline is tighter than the armed flush point
-// re-arms the timer to fire one flush interval before that deadline — and
-// when even an immediate flush is barely in time, flushes inline — so a
-// deadline shorter than the coalescing interval still has a chance instead
-// of expiring in the queue.
+// submit queues one request; see submitAll.
 func (b *batcher) submit(r *request) error {
+	return b.submitAll([]*request{r})
+}
+
+// submitAll queues rs under one hold of b.mu, so a flush timer firing
+// mid-call cannot split them: a call of at most maxBatch members always
+// reaches the backend as part of one batch. When the members would overflow
+// what is already pending, the pending batch flushes first; each batch that
+// reaches maxBatch flushes inline (on the caller's goroutine), and the
+// deadline flushes from a timer goroutine. A member whose client deadline
+// is tighter than the armed flush point re-arms the timer to fire one flush
+// interval before that deadline — and when even an immediate flush is
+// barely in time, flushes inline — so a deadline shorter than the
+// coalescing interval still has a chance instead of expiring in the queue.
+// On ErrClosed nothing was queued.
+func (b *batcher) submitAll(rs []*request) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	b.pending = append(b.pending, r)
-	if len(b.pending) >= b.maxBatch {
-		batch := b.take()
-		b.mu.Unlock()
-		b.flush(b.kind, batch)
-		return nil
-	}
-	now := time.Now()
-	var fire time.Time
-	if len(b.pending) == 1 {
-		fire = now.Add(b.deadline)
-	}
-	if !r.deadline.IsZero() {
-		// Reserve one flush interval as queue-and-execute margin.
-		if d := r.deadline.Add(-b.deadline); fire.IsZero() && d.Before(b.timerAt) || !fire.IsZero() && d.Before(fire) {
-			fire = d
+	var readyBuf [2][]*request // enough for any call of <= maxBatch members
+	ready := readyBuf[:0]
+	for len(rs) > 0 {
+		chunk := rs[:min(len(rs), b.maxBatch)]
+		rs = rs[len(chunk):]
+		if len(b.pending)+len(chunk) > b.maxBatch {
+			ready = append(ready, b.take())
 		}
-	}
-	if !fire.IsZero() {
+		b.pending = append(b.pending, chunk...)
+		if len(b.pending) >= b.maxBatch {
+			ready = append(ready, b.take())
+			continue
+		}
+		// chunk is the tail: arm the flush point for what stays pending.
+		now := time.Now()
+		var fire time.Time
+		if len(b.pending) == len(chunk) {
+			fire = now.Add(b.deadline)
+		}
+		for _, r := range chunk {
+			if r.deadline.IsZero() {
+				continue
+			}
+			// Reserve one flush interval as queue-and-execute margin.
+			if d := r.deadline.Add(-b.deadline); fire.IsZero() && d.Before(b.timerAt) || !fire.IsZero() && d.Before(fire) {
+				fire = d
+			}
+		}
+		if fire.IsZero() {
+			break
+		}
 		if !fire.After(now) {
-			batch := b.take()
-			b.mu.Unlock()
-			b.flush(b.kind, batch)
-			return nil
+			ready = append(ready, b.take())
+			break
 		}
 		gen := b.gen
 		if b.timer != nil {
@@ -239,6 +258,9 @@ func (b *batcher) submit(r *request) error {
 		b.timer = time.AfterFunc(time.Until(fire), func() { b.deadlineFlush(gen) })
 	}
 	b.mu.Unlock()
+	for _, batch := range ready {
+		b.flush(b.kind, batch)
+	}
 	return nil
 }
 

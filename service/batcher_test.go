@@ -1,11 +1,15 @@
 package service
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"herosign/internal/spx/params"
 )
 
 // collectFlush records flushed batches for assertions.
@@ -155,4 +159,121 @@ func TestBatcherSubmitAfterClose(t *testing.T) {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)
 	}
 	b.close() // idempotent
+}
+
+// recordingBackend is a stubBackend that records the messages of every
+// batch it runs.
+type recordingBackend struct {
+	stubBackend
+	mu      sync.Mutex
+	batches [][]string
+}
+
+func (b *recordingBackend) RunBatch(ctx context.Context, key *PrivateKey, job *Job) (*BatchOutput, error) {
+	msgs := make([]string, len(job.Msgs))
+	for i, m := range job.Msgs {
+		msgs[i] = string(m)
+	}
+	b.mu.Lock()
+	b.batches = append(b.batches, msgs)
+	b.mu.Unlock()
+	return b.stubBackend.RunBatch(ctx, key, job)
+}
+
+// TestSubmitBatchArrivesWhole: with a flush interval of 1 ns the timer
+// fires while a batch is still being queued, yet every SubmitBatch call of
+// at most maxBatch members must reach the backend inside one batch.
+func TestSubmitBatchArrivesWhole(t *testing.T) {
+	const maxBatch, calls, submitters = 16, 200, 4
+	rb := &recordingBackend{stubBackend: stubBackend{name: "rec", weight: 1000, cap: 4096}}
+	svc, err := New(WithParams(params.SPHINCSPlus128f), WithKey(testKey(t)), WithBackends(rb),
+		WithMaxBatch(maxBatch), WithFlushDeadline(time.Nanosecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for c := g; c < calls; c += submitters {
+				msgs := make([][]byte, 1+c%maxBatch)
+				for i := range msgs {
+					msgs[i] = []byte(fmt.Sprintf("call-%d/%d", c, i))
+				}
+				futs, err := svc.SubmitBatch(KindSign, "", msgs, nil, nil)
+				if err != nil {
+					t.Errorf("call %d: %v", c, err)
+					return
+				}
+				for _, f := range futs {
+					if _, err := f.Wait(context.Background()); err != nil {
+						t.Errorf("call %d: %v", c, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	batchOf := map[int]int{} // call -> index of the backend batch carrying it
+	members := 0
+	for bi, batch := range rb.batches {
+		for _, m := range batch {
+			var c, i int
+			if _, err := fmt.Sscanf(m, "call-%d/%d", &c, &i); err != nil {
+				t.Fatalf("unexpected message %q", m)
+			}
+			if prev, ok := batchOf[c]; ok && prev != bi {
+				t.Fatalf("call %d (%d members) split across backend batches %d and %d", c, 1+c%maxBatch, prev, bi)
+			}
+			batchOf[c] = bi
+			members++
+		}
+	}
+	want := 0
+	for c := 0; c < calls; c++ {
+		want += 1 + c%maxBatch
+	}
+	if len(batchOf) != calls || members != want {
+		t.Fatalf("backend saw %d calls / %d members, want %d / %d", len(batchOf), members, calls, want)
+	}
+}
+
+// TestBatcherSubmitAllChunks: a call that would overflow the pending batch
+// flushes that batch first, and a call longer than maxBatch flushes in full
+// maxBatch chunks with the remainder left pending.
+func TestBatcherSubmitAllChunks(t *testing.T) {
+	var c collectFlush
+	b := newBatcher(KindSign, 4, time.Hour, c.fn)
+	reqs := func(n int) []*request {
+		rs := make([]*request, n)
+		for i := range rs {
+			rs[i] = newReq()
+		}
+		return rs
+	}
+	for _, n := range []int{3, 2, 9} {
+		if err := b.submitAll(reqs(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sizes []int
+	for _, batch := range c.snapshot() {
+		sizes = append(sizes, len(batch))
+	}
+	// 3 pending; 2 would overflow it -> flush 3, pend 2; 9 -> flush 2, then
+	// 4 and 4, pend 1.
+	if fmt.Sprint(sizes) != "[3 2 4 4]" || b.depth() != 1 {
+		t.Fatalf("flushed %v with %d pending, want [3 2 4 4] with 1", sizes, b.depth())
+	}
+	b.close()
+	if err := b.submitAll(reqs(2)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submitAll after close: %v, want ErrClosed", err)
+	}
 }

@@ -277,9 +277,9 @@ func (r *Registrar) handleLeave(w http.ResponseWriter, req *http.Request) {
 	writeFleetJSON(w, http.StatusOK, struct{}{})
 }
 
-// retire removes a member end to end: out of the sibling set first (no new
-// hedges or failovers target it), then out of the router (its pool drains
-// under the drain timeout), then the event is logged.
+// retire removes a member end to end: the event is logged first, then the
+// leaf leaves the sibling set (no new hedges or failovers target it), then
+// the router (its pool drains under the drain timeout).
 func (r *Registrar) retire(leafURL, event string) bool {
 	r.mu.Lock()
 	m, ok := r.members[leafURL]
@@ -290,13 +290,15 @@ func (r *Registrar) retire(leafURL, event string) bool {
 	if !ok {
 		return false
 	}
+	// Logged before the removal, so a Stats that no longer lists the leaf
+	// already shows why it left.
+	r.fleet.record(event, leafURL, "")
 	r.fleet.RemoveLeaf(m.backend)
 	if err := r.svc.RemoveBackend(m.backend); err != nil {
 		// The router may have already dropped it (service shutdown); the
 		// backend's fleet reference still needs releasing.
 		_ = m.backend.Close()
 	}
-	r.fleet.record(event, leafURL, "")
 	return true
 }
 

@@ -657,22 +657,19 @@ func (s *Service) submitBatch(kind Kind, keyID string, msgs, sigs [][]byte, opts
 	if err != nil {
 		return nil, err
 	}
-	futs := make([]*Future, 0, len(msgs))
-	b := s.batchers[sh.id][kind]
+	futs := make([]*Future, len(msgs))
 	for i, r := range members {
 		r.msg = msgs[i]
 		if kind == KindVerify {
 			r.sig = sigs[i]
 		}
-		if err := b.submit(r); err != nil {
-			// Closed mid-batch: refund the never-submitted tail;
-			// already-submitted futures resolve through the drain.
-			for _, m := range members[i:] {
-				m.unadmit()
-			}
-			return nil, err
+		futs[i] = r.fut
+	}
+	if err := s.batchers[sh.id][kind].submitAll(members); err != nil {
+		for _, m := range members {
+			m.unadmit()
 		}
-		futs = append(futs, r.fut)
+		return nil, err
 	}
 	return futs, nil
 }
