@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"herosign/internal/sha2"
+	"herosign/internal/sha2/sha2test"
 	"herosign/internal/spx"
 	"herosign/internal/spx/params"
 )
@@ -49,11 +50,10 @@ func BenchmarkSignBatch1T(b *testing.B) {
 	benchSignBatch(b, params.SPHINCSPlus128f, 1)
 }
 
-// BenchmarkSignBatch1TPortable is the same measurement with the hardware
-// SHA-256 backend disabled, isolating the portable lane engine.
+// BenchmarkSignBatch1TPortable is the same measurement pinned to the
+// portable SHA-256 backend, isolating the portable lane engine.
 func BenchmarkSignBatch1TPortable(b *testing.B) {
-	prev := sha2.SetAccelerated(false)
-	defer sha2.SetAccelerated(prev)
+	sha2test.Pin(b, sha2.PortableBackend)
 	benchSignBatch(b, params.SPHINCSPlus128f, 1)
 }
 

@@ -9,7 +9,7 @@
 //     dependency chain of 32 instructions per block, so a single message is
 //     latency-bound; interleaving two independent messages lets the
 //     out-of-order core overlap the two chains, which is what the
-//     lane-batch entry points (Compress256x4/x8) exploit;
+//     lane-batch entry points (Compress256x8, Compress256Lanes) exploit;
 //   - sha256niChain2 is the fused chain kernel: it advances two staged
 //     single-block messages a given number of steps, both interleaved as in
 //     sha256ni2. Each step compresses the block from one shared seed state

@@ -7,24 +7,18 @@
 // lane-batch API that runs up to Lanes independent compressions per pass
 // over a struct-of-arrays state.
 //
-// Two backends sit under the API:
-//
-//   - The portable kernels (lanes_x4.go / lanes_x8.go, generated by
-//     gen_lanes.go) interleave the round bodies of all lanes in one loop so
-//     the out-of-order core overlaps the per-round dependency chains; the
-//     Go compiler keeps as many lanes in registers as the ISA allows. A true
-//     SIMD lane kernel (AVX2/AVX-512 message-parallel) can be swapped in
-//     behind the same entry points.
-//   - The accelerated backend routes each lane through the platform's
-//     hardware SHA-256 (crypto/sha256, e.g. SHA-NI on amd64), reaching and
-//     leaving arbitrary chaining states through the stdlib's stable
-//     marshaled-state format. It is enabled only after an init-time
-//     self-check proves bit-identical results against the portable scalar
-//     kernel on this Go version/platform.
-//
-// Both backends produce bit-identical digests; only wall-clock speed
-// differs. Modeled simulator metrics never depend on the backend because
-// compression counts are charged analytically (CompressionBlocks256).
+// Three backends sit under the API, one active at a time (Backend): the
+// portable kernels (lanes_x4.go / lanes_x8.go, generated by gen_lanes.go)
+// interleave the round bodies of four or eight lanes in one loop so the
+// out-of-order core overlaps the per-round dependency chains; the native
+// backend (native.go) runs the amd64 SHA-NI kernels on raw chaining states,
+// two lanes per call; the stdlib backend streams each thash message through
+// crypto/sha256 (Hasher256, below) and leaves raw states to the portable
+// kernels. All produce bit-identical digests — a backend is selectable only
+// after an init-time self-check against the portable scalar kernel — so
+// only wall-clock speed differs. Modeled simulator metrics never depend on
+// the backend because compression counts are charged analytically
+// (CompressionBlocks256).
 package sha2
 
 import (
@@ -42,38 +36,21 @@ const Lanes = 8
 
 // Compress256 absorbs one 64-byte block into a raw chaining state. It is
 // the single-lane entry point of the lane engine; callers that batch work
-// should prefer Compress256x4/x8. Dispatches to the native SHA extension
-// kernel when the self-check enabled it, else the portable scalar kernel.
+// should prefer Compress256x8/Compress256Lanes. Dispatches to the native
+// SHA extension kernel when that backend is active, else the portable
+// scalar kernel.
 func Compress256(state *State256, block *[BlockSize256]byte) {
-	if native256 {
+	if backend == NativeBackend {
 		sha256ni(state, block)
 		return
 	}
 	compress256(state, block[:])
 }
 
-// Compress256x4 runs four independent compressions in one interleaved pass.
-func Compress256x4(states *[4]State256, blocks *[4][BlockSize256]byte) {
-	if native256 {
-		sha256ni2(&states[0], &states[1], &blocks[0], &blocks[1])
-		sha256ni2(&states[2], &states[3], &blocks[2], &blocks[3])
-		return
-	}
-	compress256x4(states, blocks)
-}
-
-// Compress256x8 runs Lanes independent compressions in one pass. With the
-// native backend each lane pair goes through the two-message interleaved
-// SHA-NI kernel; otherwise the portable struct-of-arrays kernel runs.
+// Compress256x8 runs Lanes independent compressions in one pass: the
+// Compress256Lanes call with every lane live.
 func Compress256x8(states *[Lanes]State256, blocks *[Lanes][BlockSize256]byte) {
-	if native256 {
-		sha256ni2(&states[0], &states[1], &blocks[0], &blocks[1])
-		sha256ni2(&states[2], &states[3], &blocks[2], &blocks[3])
-		sha256ni2(&states[4], &states[5], &blocks[4], &blocks[5])
-		sha256ni2(&states[6], &states[7], &blocks[6], &blocks[7])
-		return
-	}
-	compress256x8(states, blocks)
+	Compress256Lanes(Lanes, states, blocks)
 }
 
 // Compress256Lanes advances the first count lane states (1 <= count <=
@@ -83,7 +60,7 @@ func Compress256x8(states *[Lanes]State256, blocks *[Lanes][BlockSize256]byte) {
 // padding. The portable interleaved kernels need a full register complement;
 // there the idle lanes recompute lane 0 into scratch state.
 func Compress256Lanes(count int, states *[Lanes]State256, blocks *[Lanes][BlockSize256]byte) {
-	if native256 {
+	if backend == NativeBackend {
 		i := 0
 		for ; i+1 < count; i += 2 {
 			sha256ni2(&states[i], &states[i+1], &blocks[i], &blocks[i+1])
@@ -135,7 +112,7 @@ func Chain256x2(seed *State256, b0, b1 *[BlockSize256]byte, valOff, ctrOff, n, s
 		ctrOff < 0 || ctrOff+4 > BlockSize256 || ctrOff < valOff+n && valOff < ctrOff+4 {
 		panic("sha2: Chain256x2 value or counter outside the block, or overlapping")
 	}
-	if native256 {
+	if backend == NativeBackend {
 		sha256niChain2(seed, b0, b1, valOff, ctrOff, n, steps)
 		return
 	}
@@ -154,47 +131,21 @@ func chain256(seed *State256, block *[BlockSize256]byte, valOff, ctrOff, n, step
 	}
 }
 
-// --- accelerated backend -------------------------------------------------
+// --- stdlib backend ------------------------------------------------------
 
 // accelStateSize is the size of crypto/sha256's marshaled state:
 // 4-byte magic || 8 big-endian state words || 64-byte block buffer ||
 // 8-byte absorbed length. The format is frozen by the stdlib's
-// encoding.BinaryMarshaler compatibility promise; accelOK additionally
+// encoding.BinaryMarshaler compatibility promise; accelSelfCheck additionally
 // proves it functional at init before any caller can depend on it.
 const accelStateSize = 4 + 32 + BlockSize256 + 8
 
 var accelMagic = [4]byte{'s', 'h', 'a', 0x03}
 
-// accel256 reports whether the stdlib hardware path is active. It is
-// mutated only by SetAccelerated (benchmarks/tests); the hot path reads it
-// without synchronization, so toggling must not race with hashing.
-//
-// When the native SHA-NI kernels passed their self-check they are the
-// better backend (no marshaled-state round-trip per midstate), so the
-// stdlib route starts disabled; it remains available to SetAccelerated.
-var accel256 = accelSelfCheck() && !native256
-
-// Accelerated reports whether lane hashing is currently routed through the
-// platform's hardware SHA-256.
-func Accelerated() bool { return accel256 }
-
-// accelAvailable records the init-time self-check result; SetAccelerated
-// can never enable a backend that failed it.
-var accelAvailable bool
-
-// SetAccelerated forces the backend choice for benchmarks and equivalence
-// tests and reports the previous setting. Enabling is a no-op when the
-// init-time self-check failed. Not safe to call concurrently with hashing.
-func SetAccelerated(enable bool) (previous bool) {
-	previous = accel256
-	accel256 = enable && accelAvailable
-	return previous
-}
-
-// accelSelfCheck proves the stdlib round-trip (restore state -> absorb ->
-// extract state) reproduces the portable kernel bit-for-bit. Any mismatch
-// (changed marshal format, exotic platform) silently selects the portable
-// backend.
+// accelSelfCheck gates StdlibBackend: it proves the stdlib round-trip
+// (restore state -> absorb -> extract state) reproduces the portable kernel
+// bit-for-bit. Any mismatch (changed marshal format, exotic platform)
+// silently keeps the stdlib backend out of Backends.
 func accelSelfCheck() bool {
 	defer func() { recover() }() // a panicking stdlib path means: portable
 
@@ -215,11 +166,7 @@ func accelSelfCheck() bool {
 	}
 	// Second block from the reached state, non-zero absorbed offset.
 	compress256(&want, block[:])
-	if !h.accelCompress(&st, &block, BlockSize256) || st != want {
-		return false
-	}
-	accelAvailable = true
-	return true
+	return h.accelCompress(&st, &block, BlockSize256) && st == want
 }
 
 // Hasher256 is a reusable, allocation-free SHA-256 engine that starts from
@@ -230,14 +177,14 @@ type Hasher256 struct {
 	// portable path: the existing incremental implementation.
 	ph Hash256
 
-	// accelerated path, lazily initialized.
+	// accelerated path, initialized on first use of StdlibBackend.
 	d   hash.Hash
 	un  encoding.BinaryUnmarshaler
 	app encoding.BinaryAppender
 	tpl [accelStateSize]byte
 	buf [accelStateSize]byte // AppendBinary / Sum staging
+	be  Backend              // the backend on was decided for
 	on  bool                 // this hasher uses the accelerated path
-	ini bool                 // backend decided
 }
 
 // initAccel prepares the stdlib digest and template; reports success.
@@ -255,16 +202,6 @@ func (h *Hasher256) initAccel() bool {
 	h.d, h.un, h.app = d, un, app
 	copy(h.tpl[:4], accelMagic[:])
 	return true
-}
-
-// lazyInit picks the backend on first use.
-func (h *Hasher256) lazyInit() {
-	h.ini = true
-	if accel256 {
-		h.on = h.initAccel()
-	} else {
-		h.on = false
-	}
 }
 
 // restore loads (state, absorbed) into the stdlib digest. absorbed must be
@@ -303,15 +240,14 @@ func (h *Hasher256) accelCompress(state *State256, block *[BlockSize256]byte, ab
 // BlockSize256) already produced midstate mid — the seeded-midstate entry
 // point for thash.
 func (h *Hasher256) Restart(mid *State256, absorbed uint64) {
-	if !h.ini || h.on != accel256 {
-		h.lazyInit()
+	if h.be != backend {
+		h.be = backend
+		h.on = backend == StdlibBackend && (h.d != nil || h.initAccel())
 	}
-	if h.on {
-		if h.restore(mid, absorbed) {
-			return
-		}
-		h.on = false // stdlib refused: degrade to portable for this hasher
+	if h.on && h.restore(mid, absorbed) {
+		return
 	}
+	h.on = false // also when stdlib refused: portable until the backend changes
 	h.ph.SetMidstate(*mid, absorbed)
 }
 

@@ -5,6 +5,8 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -28,42 +30,68 @@ func randStatesBlocks(t testing.TB, n int) ([]State256, [][BlockSize256]byte) {
 	return states, blocks
 }
 
-// TestCompressLanesMatchScalar: the interleaved 4- and 8-lane kernels must
-// reproduce the scalar kernel bit-for-bit on random states and blocks.
-func TestCompressLanesMatchScalar(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		states, blocks := randStatesBlocks(t, Lanes)
-		want := make([]State256, Lanes)
-		copy(want, states)
-		for l := range want {
-			compress256(&want[l], blocks[l][:])
-		}
+// pin makes b the active backend until tb ends, then restores the one
+// before.
+func pin(tb testing.TB, b Backend) {
+	tb.Helper()
+	prev, ok := Use(b)
+	if !ok {
+		tb.Fatalf("backend %v is not selectable on this host", b)
+	}
+	tb.Cleanup(func() { Use(prev) })
+}
 
-		s4 := make([]State256, Lanes)
-		copy(s4, states)
-		for l := 0; l < Lanes; l += 4 {
-			Compress256x4((*[4]State256)(s4[l:l+4]), (*[4][BlockSize256]byte)(blocks[l:l+4]))
-		}
-		s8 := make([]State256, Lanes)
-		copy(s8, states)
-		Compress256x8((*[Lanes]State256)(s8), (*[Lanes][BlockSize256]byte)(blocks))
-
-		for l := 0; l < Lanes; l++ {
-			if s4[l] != want[l] {
-				t.Fatalf("trial %d: x4 lane %d mismatch", trial, l)
-			}
-			if s8[l] != want[l] {
-				t.Fatalf("trial %d: x8 lane %d mismatch", trial, l)
-			}
-		}
+// eachBackend runs f as one subtest per selectable backend, named after
+// it, with that backend pinned.
+func eachBackend(t *testing.T, f func(t *testing.T)) {
+	for _, b := range Backends() {
+		t.Run(b.String(), func(t *testing.T) {
+			pin(t, b)
+			f(t)
+		})
 	}
 }
 
-// TestHasher256MatchesOneShot runs the reusable hasher (on whichever
-// backend is active, then forced-portable) against crypto/sha256 across
-// message lengths spanning several block boundaries.
+// TestCompressLanesMatchScalar: the portable interleaved 4- and 8-lane
+// kernels, and the dispatching Compress256x8 and Compress256Lanes (every
+// lane count) on every backend, must reproduce the scalar kernel
+// bit-for-bit on random states and blocks.
+func TestCompressLanesMatchScalar(t *testing.T) {
+	check := func(t *testing.T, name string, count int, run func(*[Lanes]State256, *[Lanes][BlockSize256]byte)) {
+		for trial := 0; trial < 20; trial++ {
+			states, blocks := randStatesBlocks(t, Lanes)
+			want := append([]State256(nil), states...)
+			for l := range want {
+				compress256(&want[l], blocks[l][:])
+			}
+			run((*[Lanes]State256)(states), (*[Lanes][BlockSize256]byte)(blocks))
+			for l := 0; l < count; l++ {
+				if states[l] != want[l] {
+					t.Fatalf("trial %d: %s lane %d mismatch", trial, name, l)
+				}
+			}
+		}
+	}
+	check(t, "compress256x4", Lanes, func(s *[Lanes]State256, b *[Lanes][BlockSize256]byte) {
+		compress256x4((*[4]State256)(s[:4]), (*[4][BlockSize256]byte)(b[:4]))
+		compress256x4((*[4]State256)(s[4:]), (*[4][BlockSize256]byte)(b[4:]))
+	})
+	check(t, "compress256x8", Lanes, compress256x8)
+	eachBackend(t, func(t *testing.T) {
+		check(t, "Compress256x8", Lanes, Compress256x8)
+		for count := 1; count <= Lanes; count++ {
+			check(t, fmt.Sprintf("Compress256Lanes(%d)", count), count, func(s *[Lanes]State256, b *[Lanes][BlockSize256]byte) {
+				Compress256Lanes(count, s, b)
+			})
+		}
+	})
+}
+
+// TestHasher256MatchesOneShot runs the reusable hasher on every backend
+// against crypto/sha256 across message lengths spanning several block
+// boundaries.
 func TestHasher256MatchesOneShot(t *testing.T) {
-	run := func(t *testing.T) {
+	eachBackend(t, func(t *testing.T) {
 		var h Hasher256
 		for n := 0; n <= 200; n += 7 {
 			msg := make([]byte, n)
@@ -79,18 +107,12 @@ func TestHasher256MatchesOneShot(t *testing.T) {
 				t.Fatalf("len=%d: %x != %x", n, got, want)
 			}
 		}
-	}
-	t.Run("default", run)
-	t.Run("portable", func(t *testing.T) {
-		prev := SetAccelerated(false)
-		defer SetAccelerated(prev)
-		run(t)
 	})
 }
 
 // TestHasher256Midstate checks the seeded-midstate entry point: restarting
 // from the state after one block must equal hashing the full message, on
-// both backends, including truncated outputs.
+// every backend, including truncated outputs.
 func TestHasher256Midstate(t *testing.T) {
 	prefix := make([]byte, BlockSize256)
 	for i := range prefix {
@@ -100,8 +122,7 @@ func TestHasher256Midstate(t *testing.T) {
 	pre.Write(prefix)
 	mid := pre.Midstate()
 
-	for _, accel := range []bool{true, false} {
-		prev := SetAccelerated(accel)
+	eachBackend(t, func(t *testing.T) {
 		var h Hasher256
 		for _, n := range []int{0, 1, 16, 22, 38, 55, 56, 64, 86, 130} {
 			suffix := make([]byte, n)
@@ -114,35 +135,71 @@ func TestHasher256Midstate(t *testing.T) {
 			h.SumTrunc(got[:])
 			want := sha256.Sum256(append(append([]byte{}, prefix...), suffix...))
 			if got != want {
-				t.Fatalf("accel=%v len=%d: midstate resume mismatch", accel, n)
+				t.Fatalf("len=%d: midstate resume mismatch", n)
 			}
 			var trunc [16]byte
 			h.Restart(&mid, BlockSize256)
 			h.Write(suffix)
 			h.SumTrunc(trunc[:])
 			if !bytes.Equal(trunc[:], want[:16]) {
-				t.Fatalf("accel=%v len=%d: truncated sum mismatch", accel, n)
+				t.Fatalf("len=%d: truncated sum mismatch", n)
 			}
 		}
-		SetAccelerated(prev)
+	})
+}
+
+// TestHasher256FollowsBackend: one hasher kept across Use calls re-decides
+// its route whenever the backend changes and stays correct on each.
+func TestHasher256FollowsBackend(t *testing.T) {
+	var h Hasher256
+	msg := []byte("one hasher, every backend")
+	want := sha256.Sum256(msg)
+	for _, b := range append(Backends(), Backends()...) {
+		pin(t, b)
+		h.Reset()
+		h.Write(msg)
+		var got [Size256]byte
+		h.SumTrunc(got[:])
+		if got != want || h.on != (b == StdlibBackend) {
+			t.Fatalf("%v: digest %x (want %x), stdlib route %v", b, got, want, h.on)
+		}
 	}
 }
 
-// TestSetAccelerated: disabling always works; enabling only when the
-// self-check passed; the previous value round-trips.
-func TestSetAccelerated(t *testing.T) {
-	orig := Accelerated()
-	defer SetAccelerated(orig)
-
-	if prev := SetAccelerated(false); prev != orig {
-		t.Fatalf("previous = %v, want %v", prev, orig)
+// TestUse: Use refuses a backend that is not selectable and changes
+// nothing; otherwise the previous backend round-trips; and the Native and
+// Accelerated readers are never both true.
+func TestUse(t *testing.T) {
+	orig := Current()
+	t.Cleanup(func() { Use(orig) })
+	missing := []Backend{NativeBackend + 1}
+	for _, b := range []Backend{PortableBackend, StdlibBackend, NativeBackend} {
+		if !slices.Contains(Backends(), b) {
+			missing = append(missing, b)
+		}
 	}
-	if Accelerated() {
-		t.Fatal("disable did not take effect")
+	if len(missing) == 1 {
+		t.Logf("all three backends are selectable here; refusal checked with an out-of-range value only")
 	}
-	SetAccelerated(true)
-	if Accelerated() != accelAvailable {
-		t.Fatalf("enable: got %v, available %v", Accelerated(), accelAvailable)
+	for _, b := range missing {
+		if prev, ok := Use(b); ok || prev != orig || Current() != orig {
+			t.Fatalf("Use(%v) = %v, %v; active %v, want refusal leaving %v", b, prev, ok, Current(), orig)
+		}
+	}
+	for _, b := range Backends() {
+		before := Current()
+		if prev, ok := Use(b); !ok || prev != before || Current() != b {
+			t.Fatalf("Use(%v) = %v, %v; active %v, want %v, true; active %v", b, prev, ok, Current(), before, b)
+		}
+		if Native() && Accelerated() {
+			t.Fatalf("%v: Native and Accelerated both true", b)
+		}
+		if Native() != (b == NativeBackend) || Accelerated() != (b == StdlibBackend) {
+			t.Fatalf("%v: Native() = %v, Accelerated() = %v", b, Native(), Accelerated())
+		}
+		if prev, _ := Use(before); prev != b || Current() != before {
+			t.Fatalf("restoring %v after %v: prev %v, active %v", before, b, prev, Current())
+		}
 	}
 }
 
@@ -187,7 +244,7 @@ func refChain(seed State256, blk [BlockSize256]byte, valOff, ctrOff, n, steps in
 }
 
 // TestChain256x2MatchesCompressLoop is the differential test of the fused
-// chain kernel: on the native and the portable backend, for every n of
+// chain kernel: on every backend, for every n of
 // SPHINCS+, 0 to 2W steps (W = 16), three value/counter layouts and hash
 // words that carry into the next byte (0xff -> 0x100) or wrap 2^32 -> 0,
 // both blocks must equal the compress256 + PutDigest256 loop.
@@ -195,13 +252,7 @@ func TestChain256x2MatchesCompressLoop(t *testing.T) {
 	states, blocks := randStatesBlocks(t, 3)
 	seed := states[0]
 	ctrs := [][2]uint32{{0, 1}, {0x000000ff, 0xfffffffe}, {0xfffffff0, 0x000000f0}, {0xffffffff, 0x0000ffff}}
-	for _, native := range []bool{true, false} {
-		prev := SetNative(native)
-		if Native() != native {
-			SetNative(prev)
-			t.Logf("native backend not selectable (no SHA-NI, or its self-check failed); checked the portable one only")
-			continue
-		}
+	eachBackend(t, func(t *testing.T) {
 		for _, n := range []int{16, 24, 32} {
 			for _, lay := range [][2]int{{22, 18}, {0, 60}, {30, 2}} {
 				valOff, ctrOff := lay[0], lay[1]
@@ -215,15 +266,14 @@ func TestChain256x2MatchesCompressLoop(t *testing.T) {
 						s := seed
 						Chain256x2(&s, &b0, &b1, valOff, ctrOff, n, steps)
 						if b0 != want0 || b1 != want1 || s != seed {
-							t.Fatalf("native=%v n=%d layout=%v counters=%#x steps=%d: kernel differs from the compress loop",
-								native, n, lay, ctr, steps)
+							t.Fatalf("n=%d layout=%v counters=%#x steps=%d: kernel differs from the compress loop",
+								n, lay, ctr, steps)
 						}
 					}
 				}
 			}
 		}
-		SetNative(prev)
-	}
+	})
 }
 
 // TestChain256x2RejectsBadLayout: a value or counter outside the block, an
@@ -247,10 +297,9 @@ func TestChain256x2RejectsBadLayout(t *testing.T) {
 }
 
 // TestHasher256ZeroAlloc: the reusable hasher must not allocate per message
-// on either backend.
+// on any backend.
 func TestHasher256ZeroAlloc(t *testing.T) {
-	for _, accel := range []bool{true, false} {
-		prev := SetAccelerated(accel)
+	eachBackend(t, func(t *testing.T) {
 		var h Hasher256
 		msg := make([]byte, 38)
 		var out [16]byte
@@ -263,11 +312,10 @@ func TestHasher256ZeroAlloc(t *testing.T) {
 			h.Write(msg)
 			h.SumTrunc(out[:])
 		})
-		SetAccelerated(prev)
 		if allocs != 0 {
-			t.Fatalf("accel=%v: %v allocs per message", accel, allocs)
+			t.Fatalf("%v allocs per message", allocs)
 		}
-	}
+	})
 }
 
 // --- wall-clock microbenchmarks (lane engine vs scalar) ------------------
@@ -293,6 +341,7 @@ func BenchmarkCompress256ScalarX8(b *testing.B) {
 
 // BenchmarkCompress256x8Portable: the interleaved portable lane kernel.
 func BenchmarkCompress256x8Portable(b *testing.B) {
+	pin(b, PortableBackend)
 	states, blocks := benchLaneInput(b)
 	b.SetBytes(Lanes * BlockSize256)
 	b.ReportAllocs()
@@ -322,7 +371,6 @@ func BenchmarkHasher256ThashShape(b *testing.B) {
 // BenchmarkHasher256ThashShapePortable is the same shape forced onto the
 // portable backend.
 func BenchmarkHasher256ThashShapePortable(b *testing.B) {
-	prev := SetAccelerated(false)
-	defer SetAccelerated(prev)
+	pin(b, PortableBackend)
 	BenchmarkHasher256ThashShape(b)
 }

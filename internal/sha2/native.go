@@ -2,43 +2,12 @@ package sha2
 
 import "encoding/binary"
 
-// Native SHA-NI backend selection.
-//
-// The third lane-engine backend (after the portable interleaved kernels and
-// the stdlib streaming path): direct SHA extension compression on raw
-// chaining states. Unlike the stdlib path it needs no marshal/unmarshal
-// round-trip to reach a midstate — a profile of the verify hot loop shows
-// the actual block compression is ~a quarter of the stdlib path's cost, the
-// rest being digest plumbing — so it is the preferred backend wherever the
-// CPU supports it. Compress256/x4/x8 dispatch on it transparently; the
-// multi-lane entry points pair lanes through the two-message interleaved
-// kernel to cover the SHA256RNDS2 latency chain.
-
-// native256 routes the Compress256 entry points through the SHA-NI kernels.
-// Mutated only by SetNative (benchmarks/tests); the hot path reads it
-// without synchronization, so toggling must not race with hashing.
-var native256 = nativeSelfCheck()
-
-// nativeAvailable records the init-time self-check result; SetNative can
-// never enable a backend that failed it.
-var nativeAvailable bool
-
-// Native reports whether compression is currently routed through the native
-// SHA extension kernels.
-func Native() bool { return native256 }
-
-// SetNative forces the native-kernel choice for benchmarks and equivalence
-// tests and reports the previous setting. Enabling is a no-op when the
-// init-time self-check failed. Not safe to call concurrently with hashing.
-func SetNative(enable bool) (previous bool) {
-	previous = native256
-	native256 = enable && nativeAvailable
-	return previous
-}
-
-// nativeSelfCheck proves the SHA-NI kernels reproduce the portable scalar
-// kernel bit-for-bit before they can be selected. Any mismatch silently
-// keeps the portable/stdlib backends.
+// nativeSelfCheck gates NativeBackend: it proves the SHA-NI kernels
+// reproduce the portable scalar kernel bit-for-bit. The native backend needs
+// no marshal/unmarshal round-trip to reach a midstate — a profile of the
+// verify hot loop shows the actual block compression is ~a quarter of the
+// stdlib path's cost, the rest being digest plumbing — so it is preferred
+// wherever the CPU supports it.
 func nativeSelfCheck() bool {
 	if !nativeProbe() {
 		return false
@@ -86,6 +55,5 @@ func nativeSelfCheck() bool {
 			}
 		}
 	}
-	nativeAvailable = true
 	return true
 }

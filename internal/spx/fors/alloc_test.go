@@ -3,7 +3,7 @@ package fors
 import (
 	"testing"
 
-	"herosign/internal/sha2"
+	"herosign/internal/sha2/sha2test"
 	"herosign/internal/spx/address"
 	"herosign/internal/spx/hashes"
 	"herosign/internal/spx/params"
@@ -11,7 +11,7 @@ import (
 
 // TestTreeRootZeroAlloc: a full lane-batched FORS tree build (leaves plus
 // every reduction level, including the HReduceLevel address callbacks) must
-// not allocate after warm-up, on either backend.
+// not allocate after warm-up, on any backend.
 func TestTreeRootZeroAlloc(t *testing.T) {
 	p := params.SPHINCSPlus128f
 	pkSeed := make([]byte, p.N)
@@ -22,13 +22,11 @@ func TestTreeRootZeroAlloc(t *testing.T) {
 	root := make([]byte, p.N)
 	auth := make([]byte, p.LogT*p.N)
 
-	for _, accel := range []bool{true, false} {
-		prev := sha2.SetAccelerated(accel)
+	sha2test.Each(t, func(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, func() {
 			TreeRoot(ctx, root, &adrs, 2, 13, auth)
 		}); allocs != 0 {
-			t.Errorf("accel=%v: TreeRoot allocates (%v)", accel, allocs)
+			t.Errorf("TreeRoot allocates (%v)", allocs)
 		}
-		sha2.SetAccelerated(prev)
-	}
+	})
 }

@@ -50,7 +50,7 @@ func (c *Ctx) ChainLanes(vals []byte, starts, ends []uint32, tpls []address.Addr
 	}
 	c.countThash(msgLen, steps)
 
-	// The accelerated backend streams every hash through the stdlib's
+	// The stdlib backend streams every hash through the platform's
 	// hardware SHA-256; lane staging would only add copies there.
 	if sha2.Accelerated() {
 		for k := range starts {

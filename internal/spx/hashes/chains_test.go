@@ -6,29 +6,10 @@ import (
 	"testing"
 
 	"herosign/internal/sha2"
+	"herosign/internal/sha2/sha2test"
 	"herosign/internal/spx/address"
 	"herosign/internal/spx/params"
 )
-
-// backends lists the three SHA-256 routes a Ctx can take, each with the
-// function that selects it and returns a restore func.
-var backends = []struct {
-	name string
-	set  func() (restore func())
-}{
-	{"native", func() func() {
-		n, a := sha2.SetNative(true), sha2.SetAccelerated(false)
-		return func() { sha2.SetNative(n); sha2.SetAccelerated(a) }
-	}},
-	{"portable", func() func() {
-		n, a := sha2.SetNative(false), sha2.SetAccelerated(false)
-		return func() { sha2.SetNative(n); sha2.SetAccelerated(a) }
-	}},
-	{"stdlib", func() func() {
-		n, a := sha2.SetNative(false), sha2.SetAccelerated(true)
-		return func() { sha2.SetNative(n); sha2.SetAccelerated(a) }
-	}},
-}
 
 // chainCase is one ChainLanes input: values, positions and templates.
 type chainCase struct {
@@ -90,8 +71,7 @@ func scalarChains(ctx *Ctx, cc chainCase) []byte {
 // per-chain scalar F calls.
 func TestChainLanesMatchesScalarF(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 7))
-	for _, be := range backends {
-		restore := be.set()
+	sha2test.Each(t, func(t *testing.T) {
 		for _, p := range params.AllSets() {
 			base := testCtx(t, p)
 			maxCount := sha2.Lanes * p.WOTSLen
@@ -113,15 +93,14 @@ func TestChainLanesMatchesScalarF(t *testing.T) {
 				got := append([]byte(nil), cc.vals...)
 				base.Clone(&cGot).ChainLanes(got, cc.starts, cc.ends, cc.tpls, cc.perTpl)
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s %s count=%d: chain values differ from scalar F", be.name, p.Name, count)
+					t.Fatalf("%s count=%d: chain values differ from scalar F", p.Name, count)
 				}
 				if cGot != cWant {
-					t.Fatalf("%s %s count=%d: counters %+v, scalar charges %+v", be.name, p.Name, count, cGot, cWant)
+					t.Fatalf("%s count=%d: counters %+v, scalar charges %+v", p.Name, count, cGot, cWant)
 				}
 			}
 		}
-		restore()
-	}
+	})
 }
 
 // TestChainLanesLeavesLaneCacheStale guards the thashLanes padding cache:
@@ -130,8 +109,7 @@ func TestChainLanesMatchesScalarF(t *testing.T) {
 // lanes held before — must still equal the scalar H/F/PRF.
 func TestChainLanesLeavesLaneCacheStale(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
-	for _, be := range backends {
-		restore := be.set()
+	sha2test.Each(t, func(t *testing.T) {
 		for _, p := range params.FastSets() {
 			ctx := testCtx(t, p)
 			n := p.N
@@ -169,13 +147,12 @@ func TestChainLanesLeavesLaneCacheStale(t *testing.T) {
 					a := adrs[i]
 					pass.scalar(i, &a)
 					if !bytes.Equal(outs[i], want) {
-						t.Fatalf("%s %s lane %d: %sLanes after ChainLanes differs from scalar %s", be.name, p.Name, i, pass.name, pass.name)
+						t.Fatalf("%s lane %d: %sLanes after ChainLanes differs from scalar %s", p.Name, i, pass.name, pass.name)
 					}
 				}
 			}
 		}
-		restore()
-	}
+	})
 }
 
 // TestChainLanesZeroAlloc: after the first call sizes the schedule arena,
@@ -183,16 +160,14 @@ func TestChainLanesLeavesLaneCacheStale(t *testing.T) {
 func TestChainLanesZeroAlloc(t *testing.T) {
 	p := params.SPHINCSPlus128f
 	cc := newChainCase(rand.New(rand.NewPCG(5, 6)), p, sha2.Lanes*p.WOTSLen, p.WOTSLen)
-	for _, be := range backends {
-		restore := be.set()
+	sha2test.Each(t, func(t *testing.T) {
 		ctx := testCtx(t, p)
 		if allocs := testing.AllocsPerRun(20, func() {
 			ctx.ChainLanes(cc.vals, cc.starts, cc.ends, cc.tpls, cc.perTpl)
 		}); allocs != 0 {
-			t.Errorf("%s: ChainLanes allocates (%v per call)", be.name, allocs)
+			t.Errorf("ChainLanes allocates (%v per call)", allocs)
 		}
-		restore()
-	}
+	})
 }
 
 // BenchmarkChainLanes runs the chain set of one 8-signature 128f
@@ -205,10 +180,9 @@ func BenchmarkChainLanes(b *testing.B) {
 	for k := range cc.starts {
 		cc.starts[k], cc.ends[k] = rng.Uint32N(uint32(p.W)), uint32(p.W-1)
 	}
-	for _, be := range backends {
-		b.Run(be.name, func(b *testing.B) {
-			restore := be.set()
-			defer restore()
+	for _, be := range sha2.Backends() {
+		b.Run(be.String(), func(b *testing.B) {
+			sha2test.Pin(b, be)
 			ctx := testCtx(b, p)
 			vals := append([]byte(nil), cc.vals...)
 			b.ReportAllocs()
@@ -239,16 +213,15 @@ func FuzzChainLanes(f *testing.F) {
 			a, b := uint32(steps[2*k])%uint32(p.W+1), uint32(steps[2*k+1])%uint32(p.W+1)
 			cc.starts[k], cc.ends[k] = a, b // a > b: a chain with nothing to do
 		}
-		for _, be := range backends {
-			restore := be.set()
+		for _, be := range sha2.Backends() {
+			sha2test.Pin(t, be)
 			base := testCtx(t, p)
 			var cWant, cGot Counters
 			want := scalarChains(base.Clone(&cWant), cc)
 			got := append([]byte(nil), cc.vals...)
 			base.Clone(&cGot).ChainLanes(got, cc.starts, cc.ends, cc.tpls, cc.perTpl)
-			restore()
 			if !bytes.Equal(got, want) || cGot != cWant {
-				t.Fatalf("%s %s: %d chains differ from scalar F (counters %+v, want %+v)", be.name, p.Name, count, cGot, cWant)
+				t.Fatalf("%v %s: %d chains differ from scalar F (counters %+v, want %+v)", be, p.Name, count, cGot, cWant)
 			}
 		}
 	})

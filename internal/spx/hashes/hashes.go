@@ -88,8 +88,8 @@ type Ctx struct {
 	chainOrder []int32 // ChainLanes schedule: live chains, longest first
 
 	// Scratch arenas loaned to the spx component packages so their hot
-	// paths perform no per-call allocation. Lazily sized from P; reset by
-	// Clone so clones never share memory.
+	// paths perform no per-call allocation. Lazily sized from P; a Clone
+	// starts without them.
 	wotsPK    []byte
 	lengths   []uint32
 	indices   []uint32
@@ -130,27 +130,15 @@ func NewCtx(p *params.Params, pkSeed, skSeed []byte) *Ctx {
 	return c
 }
 
-// Clone returns a copy of the context with its own engine and scratch space
-// and the given counter attached (counter may be nil). Used to give each
-// simulated GPU thread an independent counting context over shared key
-// material.
+// Clone returns a context over the same key material with its own engine,
+// lane staging and scratch space, and the given counter attached (counter
+// may be nil). Used to give each simulated GPU thread an independent
+// counting context over shared key material. Nothing but the key material
+// and the seeded midstate is carried over, so clones never share memory;
+// the zero laneShape matches no real message length, so every lane's
+// padding is rewritten on first use.
 func (c *Ctx) Clone(counter *Counters) *Ctx {
-	dup := *c
-	dup.C = counter
-	dup.eng = sha2.Hasher256{}
-	dup.wotsPK = nil
-	dup.lengths = nil
-	dup.indices = nil
-	dup.forsLevel = nil
-	dup.forsRoots = nil
-	dup.xmssLevel = nil
-	dup.xmssNode = nil
-	dup.wotsPKBatch = nil
-	dup.lengthsBatch = nil
-	dup.indicesBatch = nil
-	dup.forsRootsBatch = nil
-	dup.chainOrder = nil
-	return &dup
+	return &Ctx{P: c.P, PKSeed: c.PKSeed, SKSeed: c.SKSeed, C: counter, seeded: c.seeded}
 }
 
 // --- scratch arenas -------------------------------------------------------
@@ -363,7 +351,7 @@ func (c *Ctx) thashLanes(count int, outs, in1, in2 *[sha2.Lanes][]byte, adrs *[s
 	if in2 != nil {
 		msgLen += len(in2[0])
 	}
-	// The accelerated backend streams each lane through hardware SHA-256;
+	// The stdlib backend streams each lane through hardware SHA-256;
 	// batching into lane blocks would only add copies. Shapes beyond two
 	// blocks (T_l) also take the scalar engine per lane.
 	if sha2.Accelerated() || msgLen > singleBlockMax+sha2.BlockSize256 || count == 1 {
@@ -466,7 +454,7 @@ func (c *Ctx) HLanes(count int, outs, lefts, rights *[sha2.Lanes][]byte, adrs *[
 // lane-batching the H calls. setAdrs stages the address of the parent node
 // with level-local index i. Within a pass lane j writes node j while lanes
 // k >= j read nodes >= 2j, and inputs are staged before outputs are
-// written, so the in-place fold is safe on both backends.
+// written, so the in-place fold is safe on every backend.
 func (c *Ctx) HReduceLevel(level []byte, width int, setAdrs func(a *address.Address, i int)) {
 	n := c.P.N
 	var outs, lefts, rights [sha2.Lanes][]byte

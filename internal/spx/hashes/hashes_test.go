@@ -161,13 +161,28 @@ func TestCountersAddAndReset(t *testing.T) {
 }
 
 // TestCloneIsolation: cloned contexts share key material but not counters
-// or scratch space.
+// or scratch space. Once the base has borrowed every scratch arena, a
+// clone's arenas must still be its own.
 func TestCloneIsolation(t *testing.T) {
 	p := params.SPHINCSPlus128f
 	base := testCtx(t, p)
+	arenas := func(c *Ctx) []any { // each arena's first element
+		return []any{
+			&c.WOTSPKBuf()[0], &c.WOTSLengthsBuf()[0], &c.IndicesBuf()[0],
+			&c.ForsLevelBuf()[0], &c.ForsRootsBuf()[0], &c.XMSSLevelBuf()[0], &c.XMSSNodeBuf()[0],
+			&c.WOTSPKBatchBuf(1)[0], &c.WOTSLengthsBatchBuf(1)[0], &c.IndicesBatchBuf(1)[0],
+			&c.ForsRootsBatchBuf(1)[0], &c.chainOrderBuf([]uint32{0}, []uint32{1})[0],
+		}
+	}
+	baseArenas := arenas(base)
 	var c1, c2 Counters
 	d1 := base.Clone(&c1)
 	d2 := base.Clone(&c2)
+	for i, a := range arenas(d1) {
+		if a == baseArenas[i] {
+			t.Fatalf("clone shares scratch arena %d with its base", i)
+		}
+	}
 	var adrs address.Address
 	out := make([]byte, p.N)
 	d1.F(out, make([]byte, p.N), &adrs)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"herosign/internal/sha2"
+	"herosign/internal/sha2/sha2test"
 	"herosign/internal/spx/address"
 	"herosign/internal/spx/params"
 )
@@ -21,11 +22,10 @@ func laneAdrs(i int) address.Address {
 }
 
 // TestLanesMatchScalar checks FLanes/HLanes/PRFLanes against the scalar
-// F/H/PRF calls for every lane count and every parameter size, on both
-// backends.
+// F/H/PRF calls for every lane count and every parameter size, on every
+// backend.
 func TestLanesMatchScalar(t *testing.T) {
-	for _, accel := range []bool{true, false} {
-		prev := sha2.SetAccelerated(accel)
+	sha2test.Each(t, func(t *testing.T) {
 		for _, p := range params.FastSets() {
 			ctx := testCtx(t, p)
 			n := p.N
@@ -53,7 +53,7 @@ func TestLanesMatchScalar(t *testing.T) {
 					a := adrs[i]
 					ctx.F(want, ins[i], &a)
 					if !bytes.Equal(outs[i], want) {
-						t.Fatalf("accel=%v %s count=%d lane=%d: FLanes mismatch", accel, p.Name, count, i)
+						t.Fatalf("%s count=%d lane=%d: FLanes mismatch", p.Name, count, i)
 					}
 				}
 
@@ -62,7 +62,7 @@ func TestLanesMatchScalar(t *testing.T) {
 					a := adrs[i]
 					ctx.H(want, lefts[i], rights[i], &a)
 					if !bytes.Equal(outs[i], want) {
-						t.Fatalf("accel=%v %s count=%d lane=%d: HLanes mismatch", accel, p.Name, count, i)
+						t.Fatalf("%s count=%d lane=%d: HLanes mismatch", p.Name, count, i)
 					}
 				}
 
@@ -71,17 +71,16 @@ func TestLanesMatchScalar(t *testing.T) {
 					a := adrs[i]
 					ctx.PRF(want, &a)
 					if !bytes.Equal(outs[i], want) {
-						t.Fatalf("accel=%v %s count=%d lane=%d: PRFLanes mismatch", accel, p.Name, count, i)
+						t.Fatalf("%s count=%d lane=%d: PRFLanes mismatch", p.Name, count, i)
 					}
 				}
 			}
 		}
-		sha2.SetAccelerated(prev)
-	}
+	})
 }
 
-// TestBackendsAgree: scalar thash outputs must be identical on the
-// accelerated and portable backends for every shape (F, H, T_l, PRF).
+// TestBackendsAgree: scalar thash outputs must be identical on every
+// backend for every shape (F, H, T_l, PRF).
 func TestBackendsAgree(t *testing.T) {
 	for _, p := range params.AllSets() {
 		ctx := testCtx(t, p)
@@ -90,21 +89,19 @@ func TestBackendsAgree(t *testing.T) {
 		for i := range long {
 			long[i] = byte(i * 7)
 		}
-		run := func(accel bool) ([]byte, []byte, []byte) {
-			prev := sha2.SetAccelerated(accel)
-			defer sha2.SetAccelerated(prev)
-			f := make([]byte, p.N)
-			tl := make([]byte, p.N)
-			prf := make([]byte, p.N)
-			ctx.F(f, long[:p.N], &a)
-			ctx.Thash(tl, long, &a)
-			ctx.PRF(prf, &a)
-			return f, tl, prf
-		}
-		af, atl, aprf := run(true)
-		pf, ptl, pprf := run(false)
-		if !bytes.Equal(af, pf) || !bytes.Equal(atl, ptl) || !bytes.Equal(aprf, pprf) {
-			t.Fatalf("%s: backends disagree", p.Name)
+		var first []byte
+		for _, be := range sha2.Backends() {
+			sha2test.Pin(t, be)
+			out := make([]byte, 4*p.N) // F || T_len || H || PRF
+			ctx.F(out[:p.N], long[:p.N], &a)
+			ctx.Thash(out[p.N:2*p.N], long, &a)
+			ctx.H(out[2*p.N:3*p.N], long[:p.N], long[p.N:2*p.N], &a)
+			ctx.PRF(out[3*p.N:], &a)
+			if first == nil {
+				first = out
+			} else if !bytes.Equal(out, first) {
+				t.Fatalf("%s: backend %v disagrees with %v", p.Name, be, sha2.Backends()[0])
+			}
 		}
 	}
 }
@@ -149,10 +146,9 @@ func TestLaneCountersMatchScalar(t *testing.T) {
 }
 
 // TestThashZeroAlloc: the satellite regression — zero allocations per
-// thash (F, H, T_l, PRF) on both backends after warm-up.
+// thash (F, H, T_l, PRF) on every backend after warm-up.
 func TestThashZeroAlloc(t *testing.T) {
-	for _, accel := range []bool{true, false} {
-		prev := sha2.SetAccelerated(accel)
+	sha2test.Each(t, func(t *testing.T) {
 		p := params.SPHINCSPlus128f
 		ctx := testCtx(t, p)
 		a := laneAdrs(2)
@@ -162,15 +158,14 @@ func TestThashZeroAlloc(t *testing.T) {
 		out := make([]byte, p.N)
 		check := func(name string, f func()) {
 			if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
-				t.Errorf("accel=%v %s: %v allocs per call", accel, name, allocs)
+				t.Errorf("%s: %v allocs per call", name, allocs)
 			}
 		}
 		check("F", func() { ctx.F(out, in, &a) })
 		check("H", func() { ctx.H(out, in, in2, &a) })
 		check("T_len", func() { ctx.Thash(out, long, &a) })
 		check("PRF", func() { ctx.PRF(out, &a) })
-		sha2.SetAccelerated(prev)
-	}
+	})
 }
 
 // TestMessageToIndicesIntoMatches: the Into variant equals the allocating
@@ -229,10 +224,9 @@ func BenchmarkThashF(b *testing.B) {
 	}
 }
 
-// BenchmarkThashFPortable forces the portable scalar fast path.
+// BenchmarkThashFPortable pins the portable backend's scalar fast path.
 func BenchmarkThashFPortable(b *testing.B) {
-	prev := sha2.SetAccelerated(false)
-	defer sha2.SetAccelerated(prev)
+	sha2test.Pin(b, sha2.PortableBackend)
 	BenchmarkThashF(b)
 }
 
@@ -250,7 +244,6 @@ func BenchmarkFLanes8(b *testing.B) {
 // BenchmarkFLanes8Portable: the portable interleaved kernel under the same
 // batched shape.
 func BenchmarkFLanes8Portable(b *testing.B) {
-	prev := sha2.SetAccelerated(false)
-	defer sha2.SetAccelerated(prev)
+	sha2test.Pin(b, sha2.PortableBackend)
 	BenchmarkFLanes8(b)
 }

@@ -1,9 +1,11 @@
 package spx
 
 import (
+	"slices"
 	"testing"
 
 	"herosign/internal/sha2"
+	"herosign/internal/sha2/sha2test"
 	"herosign/internal/spx/params"
 )
 
@@ -148,21 +150,14 @@ func TestVerifyBatchBackendEquivalence(t *testing.T) {
 	}
 	sigs[2][200] ^= 2
 
-	run := func() []bool {
-		return NewVerifier(&sk.PublicKey).VerifyBatch(nil, msgs, sigs)
-	}
-	prevNative := sha2.SetNative(false)
-	prevAccel := sha2.SetAccelerated(false)
-	portable := run()
-	sha2.SetAccelerated(true)
-	stdlib := run()
-	sha2.SetAccelerated(prevAccel)
-	sha2.SetNative(prevNative)
-	current := run()
-	for i := range portable {
-		if portable[i] != stdlib[i] || portable[i] != current[i] {
-			t.Errorf("pair %d: verdicts diverge across backends: portable=%v stdlib=%v current=%v",
-				i, portable[i], stdlib[i], current[i])
+	var first []bool
+	for _, be := range sha2.Backends() {
+		sha2test.Pin(t, be)
+		got := NewVerifier(&sk.PublicKey).VerifyBatch(nil, msgs, sigs)
+		if first == nil {
+			first = got
+		} else if !slices.Equal(got, first) {
+			t.Errorf("%v verdicts %v, %v verdicts %v", be, got, sha2.Backends()[0], first)
 		}
 	}
 }

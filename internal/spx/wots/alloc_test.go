@@ -3,14 +3,14 @@ package wots
 import (
 	"testing"
 
-	"herosign/internal/sha2"
+	"herosign/internal/sha2/sha2test"
 	"herosign/internal/spx/address"
 	"herosign/internal/spx/hashes"
 	"herosign/internal/spx/params"
 )
 
 // TestChainStepZeroAlloc: the satellite regression — advancing a WOTS+
-// chain by one F step must not allocate, on either backend, and neither
+// chain by one F step must not allocate, on any backend, and neither
 // must a whole batched PKGen or Sign after warm-up.
 func TestChainStepZeroAlloc(t *testing.T) {
 	p := params.SPHINCSPlus128f
@@ -27,25 +27,23 @@ func TestChainStepZeroAlloc(t *testing.T) {
 	msg := make([]byte, p.N)
 	out := make([]byte, p.N)
 
-	for _, accel := range []bool{true, false} {
-		prev := sha2.SetAccelerated(accel)
+	sha2test.Each(t, func(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() {
 			GenChain(ctx, node, node, 0, 1, &adrs)
 		}); allocs != 0 {
-			t.Errorf("accel=%v: GenChain step allocates (%v)", accel, allocs)
+			t.Errorf("GenChain step allocates (%v)", allocs)
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
 			Sign(ctx, sig, msg, &adrs)
 		}); allocs != 0 {
-			t.Errorf("accel=%v: Sign allocates (%v)", accel, allocs)
+			t.Errorf("Sign allocates (%v)", allocs)
 		}
 		if allocs := testing.AllocsPerRun(10, func() {
 			PKGen(ctx, out, &adrs)
 		}); allocs != 0 {
-			t.Errorf("accel=%v: PKGen allocates (%v)", accel, allocs)
+			t.Errorf("PKGen allocates (%v)", allocs)
 		}
-		sha2.SetAccelerated(prev)
-	}
+	})
 }
 
 // TestMaxLenCoversAllSets enforces the wotsMaxLen invariant the batched

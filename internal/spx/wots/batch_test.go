@@ -5,30 +5,11 @@ import (
 	"testing"
 
 	"herosign/internal/sha2"
+	"herosign/internal/sha2/sha2test"
 	"herosign/internal/spx/address"
 	"herosign/internal/spx/hashes"
 	"herosign/internal/spx/params"
 )
-
-// backends lists the three SHA-256 routes the batch path can take, each
-// with the function that selects it and returns a restore func.
-var backends = []struct {
-	name string
-	set  func() (restore func())
-}{
-	{"native", func() func() {
-		n, a := sha2.SetNative(true), sha2.SetAccelerated(false)
-		return func() { sha2.SetNative(n); sha2.SetAccelerated(a) }
-	}},
-	{"portable", func() func() {
-		n, a := sha2.SetNative(false), sha2.SetAccelerated(false)
-		return func() { sha2.SetNative(n); sha2.SetAccelerated(a) }
-	}},
-	{"stdlib", func() func() {
-		n, a := sha2.SetNative(false), sha2.SetAccelerated(true)
-		return func() { sha2.SetNative(n); sha2.SetAccelerated(a) }
-	}},
-}
 
 // batchInputs builds b signatures, signed values and key-pair addresses
 // with distinct content per signature.
@@ -55,8 +36,7 @@ func batchInputs(p *params.Params, b int, seed byte) (sigs, msgs [sha2.Lanes][]b
 // and backend — both with separate output storage and in place, where pks
 // overlaps the msgs storage as xmss.PKFromSigBatch passes it.
 func TestPKFromSigBatchMatchesScalar(t *testing.T) {
-	for _, be := range backends {
-		restore := be.set()
+	sha2test.Each(t, func(t *testing.T) {
 		for _, p := range params.AllSets() {
 			ctx := testCtx(t, p)
 			for b := 1; b <= sha2.Lanes; b++ {
@@ -70,7 +50,7 @@ func TestPKFromSigBatchMatchesScalar(t *testing.T) {
 				got := make([]byte, b*p.N)
 				PKFromSigBatch(ctx, b, got, &sigs, &msgs, &adrs)
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s %s b=%d: batch public keys differ from scalar", be.name, p.Name, b)
+					t.Fatalf("%s b=%d: batch public keys differ from scalar", p.Name, b)
 				}
 
 				inPlace := make([]byte, b*p.N)
@@ -81,12 +61,11 @@ func TestPKFromSigBatchMatchesScalar(t *testing.T) {
 				}
 				PKFromSigBatch(ctx, b, inPlace, &sigs, &views, &adrs)
 				if !bytes.Equal(inPlace, want) {
-					t.Fatalf("%s %s b=%d: in-place batch public keys differ from scalar", be.name, p.Name, b)
+					t.Fatalf("%s b=%d: in-place batch public keys differ from scalar", p.Name, b)
 				}
 			}
 		}
-		restore()
-	}
+	})
 }
 
 // BenchmarkPKFromSigBatch measures one full 8-signature WOTS+ public-key
